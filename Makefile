@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-fix race bench verify bench-baseline bench-diff smoke chaos soak
+.PHONY: all build test vet lint lint-fix race bench verify bench-baseline bench-diff smoke chaos soak perfbench
 
 all: verify
 
@@ -77,8 +77,15 @@ chaos:
 soak:
 	$(GO) test -tags soak -race -run 'TestSoak' -v ./internal/loadgen/
 
+# The end-to-end benchmark harness is its own module (perfbench/go.mod
+# replaces beesim with this checkout), so ./... above never reaches it.
+# Vetting and testing it here makes removing an API the harness calls
+# fail locally instead of in the benchmark run.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # The tier-1 gate: what CI and pre-commit runs.
-verify: build vet lint test race chaos smoke bench-diff
+verify: build vet lint test perfbench race chaos smoke bench-diff
 
 # Benchmarks double as the reproduction report (paper figures as custom
 # metrics) and as the observability-overhead check (BenchmarkDESLoop*).

@@ -8,13 +8,13 @@ package beesim
 // the usual timing columns. EXPERIMENTS.md records paper-vs-measured.
 
 import (
-	"math"
 	"testing"
 	"time"
 
 	"beesim/internal/adaptive"
 	"beesim/internal/audio"
 	"beesim/internal/core"
+	"beesim/internal/deployment"
 	"beesim/internal/des"
 	"beesim/internal/dsp"
 	"beesim/internal/experiments"
@@ -27,9 +27,7 @@ import (
 	"beesim/internal/routine"
 	"beesim/internal/services"
 	"beesim/internal/solar"
-	"beesim/internal/surrogate"
 	"beesim/internal/swarm"
-	"beesim/internal/vision"
 )
 
 // BenchmarkTableI regenerates Table I (edge scenarios); metric: the CNN
@@ -66,9 +64,12 @@ func BenchmarkTableII(b *testing.B) {
 // 7 days); metric: completed routines per day (paper cadence: 10-minute
 // wake-ups during daylight).
 func BenchmarkFigure2(b *testing.B) {
+	cfg := deployment.DefaultConfig()
+	cfg.Days = 2
+	cfg.WakePeriod = 10 * time.Minute
 	var wakeups float64
 	for i := 0; i < b.N; i++ {
-		tr, err := experiments.Figure2Custom(2, 10*time.Minute)
+		tr, err := deployment.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,7 +137,7 @@ func BenchmarkFigure6(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		floor = float64(pts[180-10].EdgeCloud.PerClientServer())
+		floor = float64(pts[180-10].EdgeCloud.ServerEnergy) / float64(pts[180-10].EdgeCloud.Clients)
 	}
 	b.ReportMetric(floor, "J/client@full")
 }
@@ -170,7 +171,7 @@ func BenchmarkFigure8(b *testing.B) {
 				b.Fatal(err)
 			}
 			if v == experiments.LossA {
-				floorA = float64(pts[180-10].EdgeCloud.PerClientServer())
+				floorA = float64(pts[180-10].EdgeCloud.ServerEnergy) / float64(pts[180-10].EdgeCloud.Clients)
 			}
 		}
 	}
@@ -226,24 +227,6 @@ func BenchmarkAblationFillPolicy(b *testing.B) {
 	b.ReportMetric(saving, "J_saved")
 }
 
-// BenchmarkAblationSlotCapacity measures the viability tipping point
-// (paper: 26 clients per slot).
-func BenchmarkAblationSlotCapacity(b *testing.B) {
-	svc, err := core.NewService(routine.CNN, 5*time.Minute)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var tipping float64
-	for i := 0; i < b.N; i++ {
-		min, err := core.MinParallelForViability(svc, 44.6, 5*time.Minute)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tipping = float64(min)
-	}
-	b.ReportMetric(tipping, "clients/slot")
-}
-
 // BenchmarkAblationLosses compares the per-client cost of a full server
 // under each loss model (capacity 10, 180 clients).
 func BenchmarkAblationLosses(b *testing.B) {
@@ -263,8 +246,8 @@ func BenchmarkAblationLosses(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		base = float64(none.PerClientServer())
-		withA = float64(lossA.PerClientServer())
+		base = float64(none.ServerEnergy) / float64(none.Clients)
+		withA = float64(lossA.ServerEnergy) / float64(lossA.Clients)
 	}
 	b.ReportMetric(base, "J_no_loss")
 	b.ReportMetric(withA, "J_lossA")
@@ -363,52 +346,6 @@ func BenchmarkAllocator(b *testing.B) {
 // Extension benchmarks (future-work subsystems)
 // ---------------------------------------------------------------------
 
-// BenchmarkAblationSurrogate contrasts the exact simulator against the
-// fitted surrogate on the same placement query; metrics: the speedup and
-// the surrogate's held-out decision accuracy.
-func BenchmarkAblationSurrogate(b *testing.B) {
-	svc, err := core.NewService(routine.CNN, 5*time.Minute)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := surrogate.DefaultConfig(svc)
-	cfg.Samples = 200
-	sur, err := surrogate.Fit(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev, err := sur.Evaluate(cfg, 100, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	exactStart := time.Now()
-	const queries = 1000
-	for i := 0; i < queries; i++ {
-		if _, err := core.SimulateEdgeCloud(100+i, core.DefaultServer(35), svc,
-			core.Losses{}, core.FillSequential, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	exact := time.Since(exactStart)
-	fastStart := time.Now()
-	for i := 0; i < queries; i++ {
-		if _, err := sur.Predict(100+i, 35, false, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-	fast := time.Since(fastStart)
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sur.Predict(500, 35, false, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(exact)/float64(fast), "speedup_x")
-	b.ReportMetric(ev.DecisionAccuracy, "decision_accuracy")
-}
-
 // BenchmarkServiceBundlePlanning measures the multi-service planner.
 func BenchmarkServiceBundlePlanning(b *testing.B) {
 	bundle := services.Bundle{
@@ -449,22 +386,6 @@ func BenchmarkAdaptivePolicies(b *testing.B) {
 		gain = float64(results[3].Routines) / float64(results[0].Routines)
 	}
 	b.ReportMetric(gain, "yield_vs_fixed10m")
-}
-
-// BenchmarkBeeCounting measures the vision service on one entrance
-// image; metric: absolute counting error on a 10-bee scene.
-func BenchmarkBeeCounting(b *testing.B) {
-	scene, err := vision.Synthesize(vision.DefaultScene(10))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var got int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got = vision.CountBees(scene.Image)
-	}
-	err10 := math.Abs(float64(got - 10))
-	b.ReportMetric(err10, "count_error")
 }
 
 // BenchmarkPipingScore measures the swarm service's audio analysis.
@@ -628,11 +549,11 @@ func BenchmarkDESLoopSteady(b *testing.B) {
 	if _, err := s.Every(time.Second, func() { ticks++ }); err != nil {
 		b.Fatal(err)
 	}
-	s.RunFor(1000 * time.Second) // warm the arena
+	s.Run(s.Now().Add(1000 * time.Second)) // warm the arena
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.RunFor(1000 * time.Second)
+		s.Run(s.Now().Add(1000 * time.Second))
 	}
 	if ticks < 1000*(b.N+1) {
 		b.Fatalf("ticks = %d", ticks)

@@ -173,10 +173,7 @@ func TestQueendetectClipDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scores, err := swarm.ScoreClips([][]float64{clip, corpus[1].Samples}, audio.SampleRate, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		scores := pipingScores(t, clip, corpus[1].Samples)
 		out, err := json.Marshal(struct {
 			Vec    []float64
 			Img    []float64
@@ -204,10 +201,7 @@ func TestQueendetectClipDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scores, err := swarm.ScoreClips([][]float64{clip, corpus[1].Samples}, audio.SampleRate, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
+		scores := pipingScores(t, clip, corpus[1].Samples)
 		out, err := json.Marshal(struct {
 			Vec    []float64
 			Img    []float64
@@ -224,6 +218,20 @@ func TestQueendetectClipDeterministicAcrossWorkers(t *testing.T) {
 
 // queendetectImage renders the CNN-sized image features of a clip as a
 // flat vector.
+// pipingScores computes the swarm service's piping score of each clip.
+func pipingScores(t *testing.T, clips ...[]float64) []float64 {
+	t.Helper()
+	scores := make([]float64, len(clips))
+	for i, clip := range clips {
+		score, err := swarm.PipingScore(clip, audio.SampleRate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scores[i] = score
+	}
+	return scores
+}
+
 func queendetectImage(clip []float64) ([]float64, error) {
 	img, err := queendetect.ImageFeatures(clip, audio.SampleRate, 32)
 	if err != nil {

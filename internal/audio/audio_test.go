@@ -2,6 +2,7 @@ package audio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -214,6 +215,21 @@ func TestCorpusErrors(t *testing.T) {
 	}
 }
 
+// decodeWAV reads back the 44-byte header and 16-bit samples WriteWAV
+// emits: the reference decoder the round-trip tests check against.
+func decodeWAV(t *testing.T, b []byte) ([]float64, int) {
+	t.Helper()
+	if len(b) < 44 || string(b[0:4]) != "RIFF" || string(b[8:12]) != "WAVE" || string(b[36:40]) != "data" {
+		t.Fatalf("not a WriteWAV stream: % x", b[:min(len(b), 44)])
+	}
+	rate := int(binary.LittleEndian.Uint32(b[24:28]))
+	out := make([]float64, binary.LittleEndian.Uint32(b[40:44])/2)
+	for i := range out {
+		out[i] = float64(int16(binary.LittleEndian.Uint16(b[44+2*i:]))) / 32767
+	}
+	return out, rate
+}
+
 func TestWAVRoundTrip(t *testing.T) {
 	s, _ := NewSynth(shortCfg())
 	clip := s.Clip(hive.QueenPresent, 0.7)
@@ -225,10 +241,7 @@ func TestWAVRoundTrip(t *testing.T) {
 	if buf.Len() != 44+2*len(clip) {
 		t.Fatalf("wav size = %d, want %d", buf.Len(), 44+2*len(clip))
 	}
-	back, rate, err := ReadWAV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back, rate := decodeWAV(t, buf.Bytes())
 	if rate != SampleRate {
 		t.Fatalf("rate = %d", rate)
 	}
@@ -247,10 +260,7 @@ func TestWAVClipsOutOfRange(t *testing.T) {
 	if err := WriteWAV(&buf, []float64{2.5, -3.0}, 8000); err != nil {
 		t.Fatal(err)
 	}
-	back, _, err := ReadWAV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back, _ := decodeWAV(t, buf.Bytes())
 	if back[0] < 0.99 || back[1] > -0.99 {
 		t.Fatalf("out-of-range samples not clipped: %v", back)
 	}
@@ -259,11 +269,5 @@ func TestWAVClipsOutOfRange(t *testing.T) {
 func TestWAVErrors(t *testing.T) {
 	if err := WriteWAV(&bytes.Buffer{}, []float64{0}, 0); err == nil {
 		t.Error("zero rate accepted")
-	}
-	if _, _, err := ReadWAV(bytes.NewReader([]byte("JUNKJUNKJUNK"))); err == nil {
-		t.Error("junk accepted as WAV")
-	}
-	if _, _, err := ReadWAV(bytes.NewReader(nil)); err == nil {
-		t.Error("empty reader accepted")
 	}
 }

@@ -128,40 +128,6 @@ func (b *Battery) AttachLedger(lg *ledger.Ledger, hive string, clock func() time
 	b.clock = clock
 }
 
-// Snapshot is an exported view of the pack's lifetime counters, for
-// reports and for reconciling the energy ledger against the pack's own
-// books.
-type Snapshot struct {
-	// Stored is the energy currently held.
-	Stored units.WattHours
-	// SoC is the state of charge in [0, 1].
-	SoC float64
-	// TotalInJ is the lifetime energy banked (after charge efficiency).
-	TotalInJ units.Joules
-	// TotalOutJ is the lifetime energy delivered to the load (after
-	// discharge efficiency).
-	TotalOutJ units.Joules
-	// Cutoffs counts protection-circuit openings.
-	Cutoffs int
-	// Brownouts counts injected bus brownout windows entered.
-	Brownouts int
-	// LoadConnected reports whether discharge is currently allowed.
-	LoadConnected bool
-}
-
-// Snapshot returns the pack's current state and lifetime counters.
-func (b *Battery) Snapshot() Snapshot {
-	return Snapshot{
-		Stored:        b.stored,
-		SoC:           b.SoC(),
-		TotalInJ:      b.totalIn,
-		TotalOutJ:     b.totalOut,
-		Cutoffs:       b.cutoffs,
-		Brownouts:     b.brownouts,
-		LoadConnected: !b.cut && !b.brownout,
-	}
-}
-
 // New creates a battery at the given initial state of charge (0..1).
 func New(cfg Config, initialSoC float64) (*Battery, error) {
 	if cfg.Capacity <= 0 {
@@ -195,15 +161,9 @@ func (b *Battery) Stored() units.WattHours { return b.stored }
 // protection circuit is closed and no brownout window is active.
 func (b *Battery) LoadConnected() bool { return !b.cut && !b.brownout }
 
-// Cutoffs returns how many times the protection circuit opened.
-func (b *Battery) Cutoffs() int { return b.cutoffs }
-
 // Brownouts returns how many injected brownout windows the pack
 // entered.
 func (b *Battery) Brownouts() int { return b.brownouts }
-
-// TripDumpErrs returns how many cutoff flight-recorder dumps failed.
-func (b *Battery) TripDumpErrs() int { return b.dumpErrs }
 
 // SetBrownout opens (active=true) or closes the injected bus-brownout
 // switch: while open the pack delivers nothing, as if the output
@@ -232,9 +192,6 @@ func (b *Battery) SetBrownout(active bool) {
 			map[string]any{"soc": b.SoC()})
 	}
 }
-
-// Totals returns lifetime charged and delivered energies.
-func (b *Battery) Totals() (in, out units.Joules) { return b.totalIn, b.totalOut }
 
 // Charge feeds power p into the pack for duration d. Power beyond the
 // configured charge limit is curtailed (a real MPPT/converter clips).

@@ -97,8 +97,8 @@ func TestDischargeHitsCutoff(t *testing.T) {
 	if b.LoadConnected() {
 		t.Fatal("load still connected after cutoff")
 	}
-	if b.Cutoffs() != 1 {
-		t.Fatalf("cutoffs = %d, want 1", b.Cutoffs())
+	if b.cutoffs != 1 {
+		t.Fatalf("cutoffs = %d, want 1", b.cutoffs)
 	}
 	// Further discharge is refused.
 	if b.Discharge(1, time.Hour) != 0 {
@@ -138,7 +138,7 @@ func TestTotalsAccounting(t *testing.T) {
 	b := mustNew(t, 0.5)
 	b.Charge(10, time.Hour)
 	b.Discharge(2, time.Hour)
-	in, out := b.Totals()
+	in, out := b.totalIn, b.totalOut
 	if in <= 0 || out <= 0 {
 		t.Fatalf("totals = %v, %v, want positive", in, out)
 	}
@@ -210,15 +210,15 @@ func TestDayNightCycleSurvival(t *testing.T) {
 			}
 		}
 	}
-	if b.Cutoffs() != 0 {
-		t.Fatalf("pack cut off %d times in a balanced week", b.Cutoffs())
+	if b.cutoffs != 0 {
+		t.Fatalf("pack cut off %d times in a balanced week", b.cutoffs)
 	}
 }
 
 // TestSnapshotReconcilesWithLedger drives a week of charge/discharge
 // with the ledger attached and checks two books against each other: the
-// pack's own lifetime counters (exposed via Snapshot) and the ledger's
-// conservation audit. totalIn must equal the sum of harvest entries,
+// pack's own lifetime counters (its totalIn/totalOut fields) and the
+// ledger's conservation audit. totalIn must equal the sum of harvest entries,
 // the discharge losses must equal totalOut's efficiency shortfall, and
 // with a synthetic consume entry for the delivered energy the audit
 // balances to zero violations.
@@ -242,14 +242,7 @@ func TestSnapshotReconcilesWithLedger(t *testing.T) {
 		}
 	}
 
-	snap := b.Snapshot()
-	if snap.Cutoffs != b.Cutoffs() || snap.LoadConnected != b.LoadConnected() {
-		t.Fatalf("snapshot disagrees with accessors: %+v", snap)
-	}
-	in, out := b.Totals()
-	if snap.TotalInJ != in || snap.TotalOutJ != out {
-		t.Fatalf("snapshot totals %v/%v, accessors %v/%v", snap.TotalInJ, snap.TotalOutJ, in, out)
-	}
+	in, out := b.totalIn, b.totalOut
 	if math.Abs(float64(out)-deliveredJ) > 1e-6 {
 		t.Fatalf("totalOut %v J, delivered per-interval sum %v J", out, deliveredJ)
 	}
@@ -303,8 +296,8 @@ func TestLedgerTripsOnCutoff(t *testing.T) {
 	if !strings.Contains(dump.String(), "battery cutoff") {
 		t.Fatalf("dump missing cutoff reason: %q", dump.String())
 	}
-	if b.TripDumpErrs() != 0 {
-		t.Fatalf("dump errors = %d, want 0", b.TripDumpErrs())
+	if b.dumpErrs != 0 {
+		t.Fatalf("dump errors = %d, want 0", b.dumpErrs)
 	}
 }
 
@@ -329,14 +322,14 @@ func TestTripDumpErrorCounted(t *testing.T) {
 	lg.AutoDump(failWriter{})
 	b.AttachLedger(lg, "h", func() time.Time { return t0 })
 	b.Discharge(10, 24*time.Hour)
-	if b.Cutoffs() != 1 {
-		t.Fatalf("cutoffs = %d, want 1", b.Cutoffs())
+	if b.cutoffs != 1 {
+		t.Fatalf("cutoffs = %d, want 1", b.cutoffs)
 	}
 	if lg.Trips() != 1 {
 		t.Fatalf("trips = %d, want 1", lg.Trips())
 	}
-	if b.TripDumpErrs() != 1 {
-		t.Fatalf("dump errors = %d, want 1", b.TripDumpErrs())
+	if b.dumpErrs != 1 {
+		t.Fatalf("dump errors = %d, want 1", b.dumpErrs)
 	}
 	if got := reg.Counter(MetricDumpErrs).Value(); got != 1 {
 		t.Fatalf("%s = %v, want 1", MetricDumpErrs, got)

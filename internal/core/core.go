@@ -388,22 +388,6 @@ func (c CycleCost) PerClient() units.Joules {
 	return c.Total() / units.Joules(float64(c.Clients))
 }
 
-// PerClientEdge returns the edge share of the per-client cost.
-func (c CycleCost) PerClientEdge() units.Joules {
-	if c.Clients == 0 {
-		return 0
-	}
-	return c.EdgeEnergy / units.Joules(float64(c.Clients))
-}
-
-// PerClientServer returns the server share of the per-client cost.
-func (c CycleCost) PerClientServer() units.Joules {
-	if c.Clients == 0 {
-		return 0
-	}
-	return c.ServerEnergy / units.Joules(float64(c.Clients))
-}
-
 // applyClientLoss draws loss C and returns the surviving client count.
 func applyClientLoss(n int, l Losses, r *rng.Source) int {
 	if l.ClientLossFrac <= 0 || r == nil {
@@ -514,30 +498,4 @@ func Recommend(n int, spec ServerSpec, svc Service, l Losses) (Recommendation, e
 		rec.Placement = routine.EdgeOnly
 	}
 	return rec, nil
-}
-
-// MinParallelForViability returns the smallest per-slot capacity at which
-// a fully used server makes the edge+cloud scenario at least as efficient
-// as the edge scenario — the paper's "26 clients" tipping point.
-func MinParallelForViability(svc Service, idle units.Watts, period time.Duration) (int, error) {
-	margin := svc.EdgeOnlyCycle - svc.EdgeCloudCycle
-	if margin <= 0 {
-		return 0, errors.New("core: edge+cloud edge cost not below edge-only cost")
-	}
-	for cap := 1; cap <= 10000; cap++ {
-		spec := ServerSpec{IdlePower: idle, MaxParallel: cap, Period: period}
-		capacity, err := spec.Capacity(svc, Losses{})
-		if err != nil {
-			continue
-		}
-		alloc, err := Allocate(capacity, spec, svc, Losses{}, FillSequential)
-		if err != nil {
-			return 0, err
-		}
-		perClient := float64(alloc.TotalServerEnergy()) / float64(capacity)
-		if units.Joules(perClient) <= margin {
-			return cap, nil
-		}
-	}
-	return 0, errors.New("core: no viable capacity below 10000")
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -201,15 +202,15 @@ func TestFigure6ServerFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perServer := float64(cost.PerClientServer())
+	perServer := float64(cost.ServerEnergy) / float64(cost.Clients)
 	if !almostEq(perServer, 116, 2) {
 		t.Errorf("full-server cost = %.1f J/client, want ~116 J", perServer)
 	}
 	if !almostEq(float64(cost.PerClient()), 438, 3) {
 		t.Errorf("best end-to-end = %.1f J/client, want ~438 J", float64(cost.PerClient()))
 	}
-	if !almostEq(float64(cost.PerClientEdge()), 322, 0.5) {
-		t.Errorf("edge share = %.1f, want 322 J", float64(cost.PerClientEdge()))
+	if !almostEq(float64(cost.EdgeEnergy)/float64(cost.Clients), 322, 0.5) {
+		t.Errorf("edge share = %.1f, want 322 J", float64(cost.EdgeEnergy)/float64(cost.Clients))
 	}
 }
 
@@ -228,11 +229,37 @@ func TestFigure6EdgeFlat(t *testing.T) {
 	}
 }
 
+// minParallelForViability returns the smallest per-slot capacity at which
+// a fully used server makes the edge+cloud scenario at least as efficient
+// as the edge scenario — the paper's "26 clients" tipping point.
+func minParallelForViability(svc Service, idle units.Watts, period time.Duration) (int, error) {
+	margin := svc.EdgeOnlyCycle - svc.EdgeCloudCycle
+	if margin <= 0 {
+		return 0, errors.New("core: edge+cloud edge cost not below edge-only cost")
+	}
+	for cap := 1; cap <= 10000; cap++ {
+		spec := ServerSpec{IdlePower: idle, MaxParallel: cap, Period: period}
+		capacity, err := spec.Capacity(svc, Losses{})
+		if err != nil {
+			continue
+		}
+		alloc, err := Allocate(capacity, spec, svc, Losses{}, FillSequential)
+		if err != nil {
+			return 0, err
+		}
+		perClient := float64(alloc.TotalServerEnergy()) / float64(capacity)
+		if units.Joules(perClient) <= margin {
+			return cap, nil
+		}
+	}
+	return 0, errors.New("core: no viable capacity below 10000")
+}
+
 // TestTippingPoint26: the paper's "26 clients are the tipping point when
 // the edge+cloud scenario can become more energy efficient".
 func TestTippingPoint26(t *testing.T) {
 	svc := cnnService(t)
-	min, err := MinParallelForViability(svc, 44.6, 5*time.Minute)
+	min, err := minParallelForViability(svc, 44.6, 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +341,7 @@ func TestLossASaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perServer := float64(cost.PerClientServer())
+	perServer := float64(cost.ServerEnergy) / float64(cost.Clients)
 	// Compounding 10% on the 5 clients beyond cap-5: x1.1^5 = 1.61.
 	if !almostEq(perServer, 186, 4) {
 		t.Errorf("loss-A full-server cost = %.1f J/client, want ~186 J", perServer)
@@ -341,7 +368,7 @@ func TestLossBNeedsMoreServers(t *testing.T) {
 		t.Errorf("loss-B servers = %d, want 4", withB.Servers)
 	}
 	// And the per-client server cost rises above the no-loss floor.
-	if withB.PerClientServer() <= noLoss.PerClientServer() {
+	if float64(withB.ServerEnergy)/float64(withB.Clients) <= float64(noLoss.ServerEnergy)/float64(noLoss.Clients) {
 		t.Error("loss B did not increase the per-client server cost")
 	}
 }
@@ -361,7 +388,7 @@ func TestLossBFullServerCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perServer := float64(cost.PerClientServer())
+	perServer := float64(cost.ServerEnergy) / float64(cost.Clients)
 	if perServer < 200 || perServer < 116 || perServer > 240 {
 		t.Errorf("loss-B floor = %.1f J/client, want in the ~212-230 region", perServer)
 	}
@@ -505,7 +532,7 @@ func TestEnergyAdditivity(t *testing.T) {
 
 func TestPerClientZeroGuard(t *testing.T) {
 	var c CycleCost
-	if c.PerClient() != 0 || c.PerClientEdge() != 0 || c.PerClientServer() != 0 {
+	if c.PerClient() != 0 {
 		t.Fatal("zero-client cost division not guarded")
 	}
 	_ = units.Joules(0)

@@ -6,10 +6,10 @@
 // IV, and the per-cycle scenario timelines behind Tables I and II.
 //
 // The engine is a classic event-calendar design: a binary heap of timed
-// events, a virtual clock that jumps from event to event, and helper
-// process abstractions on top. Determinism is guaranteed by breaking
-// timestamp ties with a monotonically increasing sequence number, so two
-// events scheduled for the same instant always fire in scheduling order.
+// events and a virtual clock that jumps from event to event. Determinism
+// is guaranteed by breaking timestamp ties with a monotonically
+// increasing sequence number, so two events scheduled for the same
+// instant always fire in scheduling order.
 package des
 
 import (
@@ -28,11 +28,11 @@ type Event struct {
 	index  int // heap index, -1 once popped
 
 	// pooled events are engine-owned: scheduled by the recurring-timer
-	// and process paths, recycled into the simulation's free list once
-	// fired or skipped. gen counts recycles so an internal cancel
-	// handle can detect (and ignore) a stale reference; events handed
-	// out by the public At/After API are never pooled, so a caller
-	// keeping an *Event around stays safe.
+	// path, recycled into the simulation's free list once fired or
+	// skipped. gen counts recycles so an internal cancel handle can
+	// detect (and ignore) a stale reference; events handed out by the
+	// public At/After API are never pooled, so a caller keeping an
+	// *Event around stays safe.
 	pooled bool
 	gen    uint64
 }
@@ -40,9 +40,6 @@ type Event struct {
 // Cancel prevents a pending event from firing. Cancelling an event that
 // already fired is a no-op.
 func (e *Event) Cancel() { e.cancel = true }
-
-// At returns the virtual time the event is scheduled for.
-func (e *Event) At() time.Time { return e.at }
 
 type eventQueue []*Event
 
@@ -76,13 +73,11 @@ func (q *eventQueue) Pop() any {
 // Sim is a discrete-event simulation. Create one with New; the zero value
 // is not usable.
 type Sim struct {
-	now     time.Time
-	queue   eventQueue
-	seq     uint64
-	stopped bool
-	fired   uint64
-	o       *simObs  // nil unless Instrument was called
-	free    []*Event // recycled pooled events (the event arena)
+	now   time.Time
+	queue eventQueue
+	seq   uint64
+	o     *simObs  // nil unless Instrument was called
+	free  []*Event // recycled pooled events (the event arena)
 }
 
 // maxFreeEvents caps the event free list so a burst of recurring
@@ -97,13 +92,6 @@ func New(start time.Time) *Sim {
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Time { return s.now }
 
-// Fired returns the number of events executed so far (for introspection
-// and tests).
-func (s *Sim) Fired() uint64 { return s.fired }
-
-// Pending returns the number of events still scheduled.
-func (s *Sim) Pending() int { return len(s.queue) }
-
 // At schedules fn at absolute virtual time t. Scheduling in the past is an
 // error: the calendar cannot rewind.
 func (s *Sim) At(t time.Time, fn func()) (*Event, error) {
@@ -112,8 +100,8 @@ func (s *Sim) At(t time.Time, fn func()) (*Event, error) {
 
 // schedule is the shared scheduling path. Pooled events come from (and
 // return to) the simulation's free list; only the engine-internal
-// recurring/process paths may request pooling, because they never leak
-// the *Event to code that could touch it after it fires.
+// recurring path may request pooling, because it never leaks the *Event
+// to code that could touch it after it fires.
 func (s *Sim) schedule(t time.Time, fn func(), pooled bool) (*Event, error) {
 	if t.Before(s.now) {
 		return nil, fmt.Errorf("des: schedule at %v before now %v", t, s.now)
@@ -214,9 +202,6 @@ func (s *Sim) Every(p time.Duration, fn func()) (stop func(), err error) {
 	}, nil
 }
 
-// Stop makes the current Run return after the in-flight event completes.
-func (s *Sim) Stop() { s.stopped = true }
-
 // Step fires the single earliest pending event and advances the clock to
 // it. It reports whether an event was fired.
 func (s *Sim) Step() bool {
@@ -230,7 +215,6 @@ func (s *Sim) Step() bool {
 			continue
 		}
 		s.now = e.at
-		s.fired++
 		if s.o != nil {
 			s.o.eventFired(s, e)
 		}
@@ -245,12 +229,11 @@ func (s *Sim) Step() bool {
 	return false
 }
 
-// Run executes events until the calendar is empty, Stop is called, or the
-// clock would pass the horizon. The clock finishes exactly at the horizon
-// when it is the limiting factor.
+// Run executes events until the calendar is empty or the clock would
+// pass the horizon. The clock finishes exactly at the horizon when it is
+// the limiting factor.
 func (s *Sim) Run(horizon time.Time) {
-	s.stopped = false
-	for !s.stopped {
+	for {
 		// Peek: don't execute events beyond the horizon.
 		next := s.peek()
 		if next == nil {
@@ -262,13 +245,10 @@ func (s *Sim) Run(horizon time.Time) {
 		}
 		s.Step()
 	}
-	if s.now.Before(horizon) && s.peek() == nil && !s.stopped {
+	if s.now.Before(horizon) {
 		s.now = horizon
 	}
 }
-
-// RunFor executes events for a virtual duration d from the current time.
-func (s *Sim) RunFor(d time.Duration) { s.Run(s.now.Add(d)) }
 
 // peek returns the earliest non-cancelled event without popping it.
 func (s *Sim) peek() *Event {
@@ -285,59 +265,3 @@ func (s *Sim) peek() *Event {
 	}
 	return nil
 }
-
-// Process is a resumable sequential activity built from chained delays; it
-// models things like "boot, collect for 64 s, transfer, shut down" without
-// goroutines, keeping the engine single-threaded and deterministic.
-type Process struct {
-	sim   *Sim
-	done  bool
-	name  string
-	stage int
-}
-
-// NewProcess creates a process bound to the simulation.
-func NewProcess(s *Sim) *Process { return &Process{sim: s} }
-
-// NewNamedProcess creates a process whose stages appear as spans in the
-// simulation's trace (if one is attached via Instrument).
-func NewNamedProcess(s *Sim, name string) *Process { return &Process{sim: s, name: name} }
-
-// Then schedules the next stage after d. Chained stages run sequentially:
-// each stage receives the process so it can schedule its successor.
-// Calling Then on a finished process is a no-op returning an error.
-func (p *Process) Then(d time.Duration, stage func(*Process)) error {
-	return p.ThenNamed("", d, stage)
-}
-
-// ThenNamed is Then with a label: on an instrumented simulation the
-// stage appears as a [now, now+d) span in the trace, named after the
-// process (and the label, when given).
-func (p *Process) ThenNamed(label string, d time.Duration, stage func(*Process)) error {
-	if p.done {
-		return errors.New("des: process already finished")
-	}
-	if p.sim.o != nil && p.name != "" {
-		p.stage++
-		p.sim.o.processStage(p.sim, p.name, label, p.stage, d)
-	}
-	// Stages ride pooled events: the process never retains the *Event
-	// (Finish suppresses pending stages through p.done, not Cancel), so
-	// a long stage chain recycles one arena slot instead of allocating
-	// an event per hop.
-	_, err := p.sim.afterPooled(d, func() {
-		if !p.done {
-			stage(p)
-		}
-	})
-	return err
-}
-
-// Finish marks the process complete; pending stages are suppressed.
-func (p *Process) Finish() { p.done = true }
-
-// Done reports whether Finish was called.
-func (p *Process) Done() bool { return p.done }
-
-// Sim returns the simulation this process runs on.
-func (p *Process) Sim() *Sim { return p.sim }

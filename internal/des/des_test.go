@@ -79,9 +79,6 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if s.Fired() != 0 {
-		t.Fatalf("Fired = %d, want 0", s.Fired())
-	}
 }
 
 func TestHorizonStopsBeforeLaterEvents(t *testing.T) {
@@ -97,8 +94,8 @@ func TestHorizonStopsBeforeLaterEvents(t *testing.T) {
 	if !s.Now().Equal(t0.Add(time.Hour)) {
 		t.Fatalf("clock = %v, want horizon", s.Now())
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", s.Pending())
+	if len(s.queue) != 1 {
+		t.Fatalf("pending = %d, want 1", len(s.queue))
 	}
 	// A later Run picks the event up.
 	s.Run(t0.Add(3 * time.Hour))
@@ -152,21 +149,6 @@ func TestEveryRejectsBadPeriod(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := New(t0)
-	count := 0
-	if _, err := s.After(time.Second, func() { count++; s.Stop() }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.After(2*time.Second, func() { count++ }); err != nil {
-		t.Fatal(err)
-	}
-	s.Run(t0.Add(time.Minute))
-	if count != 1 {
-		t.Fatalf("count = %d, want 1 after Stop", count)
-	}
-}
-
 func TestStepOnEmpty(t *testing.T) {
 	s := New(t0)
 	if s.Step() {
@@ -191,56 +173,6 @@ func TestNestedScheduling(t *testing.T) {
 	s.Run(t0.Add(time.Minute))
 	if len(times) != 2 || times[0] != time.Second || times[1] != 3*time.Second {
 		t.Fatalf("times = %v", times)
-	}
-}
-
-func TestProcessChain(t *testing.T) {
-	s := New(t0)
-	p := NewProcess(s)
-	var marks []time.Duration
-	err := p.Then(10*time.Second, func(p *Process) {
-		marks = append(marks, s.Now().Sub(t0))
-		if err := p.Then(5*time.Second, func(p *Process) {
-			marks = append(marks, s.Now().Sub(t0))
-			p.Finish()
-		}); err != nil {
-			t.Error(err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(t0.Add(time.Minute))
-	if len(marks) != 2 || marks[0] != 10*time.Second || marks[1] != 15*time.Second {
-		t.Fatalf("marks = %v", marks)
-	}
-	if !p.Done() {
-		t.Fatal("process not done")
-	}
-	if err := p.Then(time.Second, func(*Process) {}); err == nil {
-		t.Fatal("Then after Finish accepted")
-	}
-}
-
-func TestProcessFinishSuppressesPending(t *testing.T) {
-	s := New(t0)
-	p := NewProcess(s)
-	fired := false
-	if err := p.Then(10*time.Second, func(*Process) { fired = true }); err != nil {
-		t.Fatal(err)
-	}
-	p.Finish()
-	s.Run(t0.Add(time.Minute))
-	if fired {
-		t.Fatal("stage ran after Finish")
-	}
-}
-
-func TestRunForAdvancesRelative(t *testing.T) {
-	s := New(t0)
-	s.RunFor(30 * time.Minute)
-	if !s.Now().Equal(t0.Add(30 * time.Minute)) {
-		t.Fatalf("clock = %v", s.Now())
 	}
 }
 
@@ -277,11 +209,11 @@ func TestEverySteadyStateNoAlloc(t *testing.T) {
 	if _, err := s.Every(time.Second, func() { ticks++ }); err != nil {
 		t.Fatal(err)
 	}
-	s.RunFor(10 * time.Second) // warm the free list
+	s.Run(s.Now().Add(10 * time.Second)) // warm the free list
 	if allocs := testing.AllocsPerRun(50, func() {
-		s.RunFor(20 * time.Second)
+		s.Run(s.Now().Add(20 * time.Second))
 	}); allocs != 0 {
-		t.Fatalf("steady-state Every loop allocates %v per RunFor, want 0", allocs)
+		t.Fatalf("steady-state Every loop allocates %v per Run, want 0", allocs)
 	}
 	if ticks != 10+50*20+20 { // warmup + AllocsPerRun runs (incl. its one extra warmup run)
 		t.Fatalf("ticks = %d", ticks)
@@ -310,7 +242,7 @@ func TestEveryStopAfterRecycleIsNoOp(t *testing.T) {
 	if _, err := s.Every(time.Second, func() { ticksB++ }); err != nil {
 		t.Fatal(err)
 	}
-	s.RunFor(10 * time.Second)
+	s.Run(s.Now().Add(10 * time.Second))
 	if ticksA != 3 {
 		t.Fatalf("stopped loop ticked %d times, want 3", ticksA)
 	}
@@ -328,10 +260,10 @@ func TestEveryStopTwiceSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunFor(5 * time.Second)
+	s.Run(s.Now().Add(5 * time.Second))
 	stop()
 	stop()
-	s.RunFor(5 * time.Second)
+	s.Run(s.Now().Add(5 * time.Second))
 	if ticks != 5 {
 		t.Fatalf("ticks = %d, want 5", ticks)
 	}
@@ -347,7 +279,7 @@ func TestPublicEventNotPooled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunFor(2 * time.Second)
+	s.Run(s.Now().Add(2 * time.Second))
 	if fired != 1 {
 		t.Fatalf("fired = %d", fired)
 	}
@@ -360,7 +292,7 @@ func TestPublicEventNotPooled(t *testing.T) {
 	if _, err := s.After(time.Second, func() { later++ }); err != nil {
 		t.Fatal(err)
 	}
-	s.RunFor(3 * time.Second)
+	s.Run(s.Now().Add(3 * time.Second))
 	if later != 4 {
 		t.Fatalf("later events fired %d times, want 4", later)
 	}
@@ -380,35 +312,11 @@ func TestCancelledPooledEventRecycled(t *testing.T) {
 	if _, err := s.Every(time.Second, func() { ticks++ }); err != nil {
 		t.Fatal(err)
 	}
-	s.RunFor(3 * time.Second)
+	s.Run(s.Now().Add(3 * time.Second))
 	if ticks != 3 {
 		t.Fatalf("ticks = %d, want 3", ticks)
 	}
-	if s.Pending() != 1 { // only the live recurrence's next event
-		t.Fatalf("pending = %d, want 1", s.Pending())
-	}
-}
-
-// TestProcessChainPooledSteadyState checks long Then chains ride the
-// arena: after the first few stages the chain stops allocating events.
-func TestProcessChainPooledSteadyState(t *testing.T) {
-	s := New(t0)
-	p := NewProcess(s)
-	hops := 0
-	var hop func(*Process)
-	hop = func(pr *Process) {
-		hops++
-		if hops < 1000 {
-			if err := pr.Then(time.Second, hop); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := p.Then(time.Second, hop); err != nil {
-		t.Fatal(err)
-	}
-	s.RunFor(2000 * time.Second)
-	if hops != 1000 {
-		t.Fatalf("hops = %d, want 1000", hops)
+	if len(s.queue) != 1 { // only the live recurrence's next event
+		t.Fatalf("pending = %d, want 1", len(s.queue))
 	}
 }

@@ -6,18 +6,13 @@ package des
 // branch per event — the property the DES-loop benchmarks in
 // bench_test.go guard (<5% overhead with observability disabled).
 
-import (
-	"time"
-
-	"beesim/internal/obs"
-)
+import "beesim/internal/obs"
 
 // Metric names emitted by an instrumented simulation.
 const (
 	MetricEventsScheduled = "des_events_scheduled_total"
 	MetricEventsFired     = "des_events_fired_total"
 	MetricEventsCancelled = "des_events_cancelled_total"
-	MetricProcessStages   = "des_process_stages_total"
 	MetricPendingEvents   = "des_pending_events"
 )
 
@@ -25,7 +20,6 @@ type simObs struct {
 	scheduled *obs.Counter
 	fired     *obs.Counter
 	cancelled *obs.Counter
-	stages    *obs.Counter
 	pending   *obs.Gauge
 	tr        *obs.Tracer
 	traceAll  bool
@@ -51,7 +45,6 @@ func Instrument(s *Sim, m *obs.Registry, tr *obs.Tracer, traceEvents bool) {
 		scheduled: m.Counter(MetricEventsScheduled),
 		fired:     m.Counter(MetricEventsFired),
 		cancelled: m.Counter(MetricEventsCancelled),
-		stages:    m.Counter(MetricProcessStages),
 		pending:   m.Gauge(MetricPendingEvents),
 		tr:        tr,
 		traceAll:  traceEvents,
@@ -60,9 +53,6 @@ func Instrument(s *Sim, m *obs.Registry, tr *obs.Tracer, traceEvents bool) {
 		tr.SetThreadName(obs.TidEngine, "des engine")
 	}
 }
-
-// Uninstrument detaches all probes, restoring the zero-cost path.
-func Uninstrument(s *Sim) { s.o = nil }
 
 func (o *simObs) eventScheduled(s *Sim, e *Event) {
 	o.scheduled.Inc()
@@ -89,14 +79,4 @@ func (o *simObs) eventCancelled(s *Sim, e *Event) {
 		o.tr.Instant("event cancelled", "des", obs.TidEngine, s.now,
 			map[string]any{"seq": e.seq})
 	}
-}
-
-func (o *simObs) processStage(s *Sim, name, label string, stage int, d time.Duration) {
-	o.stages.Inc()
-	spanName := name
-	if label != "" {
-		spanName = name + ": " + label
-	}
-	o.tr.Span(spanName, "process", obs.TidEngine, s.now, d,
-		map[string]any{"stage": stage})
 }

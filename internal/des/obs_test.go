@@ -64,53 +64,24 @@ func TestInstrumentTraceEvents(t *testing.T) {
 	}
 }
 
-func TestNamedProcessEmitsSpans(t *testing.T) {
-	s := New(obsStart())
-	m := obs.NewRegistry()
-	tr := obs.NewTracer(obsStart())
-	Instrument(s, m, tr, false)
-
-	p := NewNamedProcess(s, "recorder")
-	err := p.ThenNamed("boot", 10*time.Second, func(p *Process) {
-		_ = p.ThenNamed("collect", 64*time.Second, func(p *Process) { p.Finish() })
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(obsStart().Add(5 * time.Minute))
-
-	if got := m.Counter(MetricProcessStages).Value(); got != 2 {
-		t.Fatalf("process stages = %v, want 2", got)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"recorder: boot", "recorder: collect"} {
-		if !bytes.Contains(buf.Bytes(), []byte(want)) {
-			t.Fatalf("trace missing span %q:\n%s", want, buf.String())
-		}
-	}
-}
-
 func TestUninstrumentRestoresBarePath(t *testing.T) {
 	s := New(obsStart())
 	m := obs.NewRegistry()
 	Instrument(s, m, nil, false)
-	Uninstrument(s)
+	Instrument(s, nil, nil, false) // both nil: detach every probe
 	if _, err := s.After(time.Second, func() {}); err != nil {
 		t.Fatal(err)
 	}
 	s.Run(obsStart().Add(time.Minute))
 	if got := m.Counter(MetricEventsFired).Value(); got != 0 {
-		t.Fatalf("fired = %v after Uninstrument, want 0", got)
+		t.Fatalf("fired = %v after detaching, want 0", got)
 	}
 }
 
 func TestInstrumentDisabledChangesNothing(t *testing.T) {
 	// The disabled configuration — Instrument with neither a registry
 	// nor a tracer — must not change engine behaviour.
-	run := func(instr bool) (uint64, time.Time) {
+	run := func(instr bool) (int, time.Time) {
 		s := New(obsStart())
 		if instr {
 			Instrument(s, nil, nil, false)
@@ -122,7 +93,7 @@ func TestInstrumentDisabledChangesNothing(t *testing.T) {
 		}
 		defer stop()
 		s.Run(obsStart().Add(time.Minute))
-		return s.Fired(), s.Now()
+		return n, s.Now()
 	}
 	bareFired, bareNow := run(false)
 	obsFired, obsNow := run(true)

@@ -21,18 +21,12 @@ import (
 // break the byte-identical-output contract, so don't.
 
 var (
-	twiddleCache sync.Map // twiddleKey -> [][]complex128
+	twiddleCache sync.Map // int -> [][]complex128
 	rfftTwCache  sync.Map // int -> []complex128
 	hannCache    sync.Map // int -> []float64
 	melCache     sync.Map // melKey -> *Matrix
 	planCache    sync.Map // planKey -> *Plan
 )
-
-// twiddleKey identifies one FFT plan.
-type twiddleKey struct {
-	n       int
-	inverse bool
-}
 
 // melKey identifies one filterbank shape.
 type melKey struct {
@@ -52,19 +46,14 @@ func ResetCaches() {
 // twiddles returns the per-stage twiddle-factor tables of an n-point
 // transform: tables[s][k] is the k-th factor of the stage with
 // butterfly size 2<<s. n must be a power of two >= 2.
-func twiddles(n int, inverse bool) [][]complex128 {
-	key := twiddleKey{n: n, inverse: inverse}
-	if v, ok := twiddleCache.Load(key); ok {
+func twiddles(n int) [][]complex128 {
+	if v, ok := twiddleCache.Load(n); ok {
 		return v.([][]complex128)
 	}
 	var tables [][]complex128
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
-		angle := -2 * math.Pi / float64(size)
-		if inverse {
-			angle = -angle
-		}
-		wStep := cmplx.Exp(complex(0, angle))
+		wStep := cmplx.Exp(complex(0, -2*math.Pi/float64(size)))
 		t := make([]complex128, half)
 		w := complex(1, 0)
 		for k := 0; k < half; k++ {
@@ -73,7 +62,7 @@ func twiddles(n int, inverse bool) [][]complex128 {
 		}
 		tables = append(tables, t)
 	}
-	v, _ := twiddleCache.LoadOrStore(key, tables)
+	v, _ := twiddleCache.LoadOrStore(n, tables)
 	return v.([][]complex128)
 }
 
@@ -96,8 +85,8 @@ func rfftTwiddles(n int) []complex128 {
 	return v.([]complex128)
 }
 
-// hannWindow returns the shared n-point Hann window. Callers must not
-// mutate it; the public HannWindow copies it out.
+// hannWindow returns the shared n-point periodic Hann window used for
+// STFT analysis. Callers must not mutate it.
 func hannWindow(n int) []float64 {
 	if v, ok := hannCache.Load(n); ok {
 		return v.([]float64)
@@ -111,7 +100,7 @@ func hannWindow(n int) []float64 {
 }
 
 // melFilterbank returns the shared filterbank for the shape. Callers
-// must not mutate it; the public MelFilterbank copies it out.
+// must not mutate it.
 func melFilterbank(nMels, fftSize, sampleRate int) (*Matrix, error) {
 	key := melKey{nMels: nMels, fftSize: fftSize, sampleRate: sampleRate}
 	if v, ok := melCache.Load(key); ok {

@@ -13,18 +13,9 @@ import (
 	"math/bits"
 )
 
-// FFT computes the in-place radix-2 decimation-in-time fast Fourier
+// fft computes the in-place radix-2 decimation-in-time fast Fourier
 // transform of x. The length must be a power of two.
-func FFT(x []complex128) error {
-	return fft(x, false)
-}
-
-// IFFT computes the inverse FFT in place (including the 1/N scaling).
-func IFFT(x []complex128) error {
-	return fft(x, true)
-}
-
-func fft(x []complex128, inverse bool) error {
+func fft(x []complex128) error {
 	n := len(x)
 	if n == 0 {
 		return errors.New("dsp: empty FFT input")
@@ -45,7 +36,7 @@ func fft(x []complex128, inverse bool) error {
 	}
 	// Danielson-Lanczos butterflies over the memoized per-stage twiddle
 	// tables (bit-identical to the former inline w *= wStep recurrence).
-	tw := twiddles(n, inverse)
+	tw := twiddles(n)
 	for s, size := 0, 2; size <= n; s, size = s+1, size<<1 {
 		half := size >> 1
 		t := tw[s]
@@ -58,33 +49,22 @@ func fft(x []complex128, inverse bool) error {
 			}
 		}
 	}
-	if inverse {
-		scale := complex(1/float64(n), 0)
-		for i := range x {
-			x[i] *= scale
-		}
-	}
 	return nil
 }
 
-// RFFT computes the FFT of a real signal and returns the n/2+1
-// non-redundant bins. The input length must be a power of two.
+// RFFTInto computes the FFT of a real signal into dst and returns the
+// n/2+1 non-redundant bins as dst[:n/2+1]. The input length must be a
+// power of two and dst must have capacity for the bins. The contents of
+// dst are fully overwritten; no other scratch is used, so a caller
+// looping over frames can reuse one buffer for a zero-allocation steady
+// state.
 //
-// Unlike a complex transform of the zero-padded signal, RFFT exploits
-// conjugate symmetry with the packed real-FFT algorithm: the n real
-// samples fold into an n/2-point complex transform plus an O(n)
+// Unlike a complex transform of the zero-padded signal, RFFTInto
+// exploits conjugate symmetry with the packed real-FFT algorithm: the n
+// real samples fold into an n/2-point complex transform plus an O(n)
 // untangling pass, halving the butterfly work. The low-order bits of
-// the result therefore differ from FFT of the widened signal; the
-// agreement is pinned to a tight ulp bound by TestRFFTMatchesFFT.
-func RFFT(x []float64) ([]complex128, error) {
-	return RFFTInto(make([]complex128, len(x)/2+1), x)
-}
-
-// RFFTInto is the no-alloc variant of RFFT: it computes the transform
-// into dst, which must have capacity for the n/2+1 output bins, and
-// returns dst[:n/2+1]. The contents of dst are fully overwritten; no
-// other scratch is used, so a caller looping over frames can reuse one
-// buffer for a zero-allocation steady state.
+// the result therefore differ from a complex FFT of the widened signal;
+// the agreement is pinned to a tight ulp bound by TestRFFTMatchesFFT.
 func RFFTInto(dst []complex128, x []float64) ([]complex128, error) {
 	n := len(x)
 	if n == 0 {
@@ -109,7 +89,7 @@ func RFFTInto(dst []complex128, x []float64) ([]complex128, error) {
 	for k := 0; k < n2; k++ {
 		z[k] = complex(x[2*k], x[2*k+1])
 	}
-	if err := fft(z, false); err != nil {
+	if err := fft(z); err != nil {
 		return nil, err
 	}
 	// Untangle the packed transform Z into the real signal's spectrum:
@@ -135,19 +115,4 @@ func RFFTInto(dst []complex128, x []float64) ([]complex128, error) {
 		dst[j] = complex(0.5*(sumR-mI), 0.5*(-sumI-mR))
 	}
 	return dst, nil
-}
-
-// NextPow2 returns the smallest power of two >= n (minimum 1).
-func NextPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(n-1))
-}
-
-// HannWindow returns the n-point periodic Hann window used for STFT
-// analysis. The returned slice is the caller's to mutate; the shared
-// memoized copy stays internal.
-func HannWindow(n int) []float64 {
-	return append([]float64(nil), hannWindow(n)...)
 }

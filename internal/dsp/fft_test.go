@@ -10,6 +10,31 @@ import (
 	"beesim/internal/rng"
 )
 
+// FFT is the complex radix-2 transform: the reference the packed real
+// FFT is checked against.
+func FFT(x []complex128) error { return fft(x) }
+
+// IFFT inverts FFT in place, including the 1/N scaling, through the
+// conjugation identity IFFT(x) = conj(FFT(conj(x)))/N.
+func IFFT(x []complex128) error {
+	for i := range x {
+		x[i] = cmplx.Conj(x[i])
+	}
+	if err := fft(x); err != nil {
+		return err
+	}
+	scale := complex(1/float64(len(x)), 0)
+	for i := range x {
+		x[i] = cmplx.Conj(x[i]) * scale
+	}
+	return nil
+}
+
+// RFFT is the allocating form of RFFTInto.
+func RFFT(x []float64) ([]complex128, error) {
+	return RFFTInto(make([]complex128, len(x)/2+1), x)
+}
+
 func TestFFTErrors(t *testing.T) {
 	if err := FFT(nil); err == nil {
 		t.Error("empty FFT accepted")
@@ -344,17 +369,8 @@ func FuzzRFFT(f *testing.F) {
 	})
 }
 
-func TestNextPow2(t *testing.T) {
-	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 17: 32, 2048: 2048, 2049: 4096}
-	for in, want := range cases {
-		if got := NextPow2(in); got != want {
-			t.Errorf("NextPow2(%d) = %d, want %d", in, got, want)
-		}
-	}
-}
-
 func TestHannWindow(t *testing.T) {
-	w := HannWindow(8)
+	w := hannWindow(8)
 	if w[0] != 0 {
 		t.Fatalf("Hann[0] = %v, want 0", w[0])
 	}

@@ -7,13 +7,11 @@ import (
 
 // This file completes the classical audio front end with mel-frequency
 // cepstral coefficients: the DCT-II of the log-mel spectrum. The paper's
-// classifiers use the mel spectrogram directly, but MFCCs are the
-// standard compact alternative for classical models, and the catalog's
-// lighter services (swarm prediction) benefit from the smaller feature
-// vector.
+// classifiers use the mel spectrogram directly; MFCCs are the standard
+// compact alternative for classical models.
 
-// DCTII computes the orthonormal type-II discrete cosine transform of x.
-func DCTII(x []float64) []float64 {
+// dctII computes the orthonormal type-II discrete cosine transform of x.
+func dctII(x []float64) []float64 {
 	n := len(x)
 	out := make([]float64, n)
 	if n == 0 {
@@ -35,29 +33,10 @@ func DCTII(x []float64) []float64 {
 	return out
 }
 
-// IDCTII inverts the orthonormal DCT-II (i.e. computes the DCT-III).
-func IDCTII(c []float64) []float64 {
-	n := len(c)
-	out := make([]float64, n)
-	if n == 0 {
-		return out
-	}
-	scale0 := math.Sqrt(1 / float64(n))
-	scale := math.Sqrt(2 / float64(n))
-	for i := 0; i < n; i++ {
-		sum := c[0] * scale0
-		for k := 1; k < n; k++ {
-			sum += c[k] * scale * math.Cos(math.Pi*float64(k)*(float64(i)+0.5)/float64(n))
-		}
-		out[i] = sum
-	}
-	return out
-}
-
-// MFCC computes nCoeffs mel-frequency cepstral coefficients per frame of
+// mfcc computes nCoeffs mel-frequency cepstral coefficients per frame of
 // the signal: power STFT -> mel filterbank (nMels bands) -> log ->
 // DCT-II -> truncation. The result is nCoeffs rows by frames columns.
-func MFCC(signal []float64, cfg STFTConfig, nMels, nCoeffs, sampleRate int) (*Matrix, error) {
+func mfcc(signal []float64, cfg STFTConfig, nMels, nCoeffs, sampleRate int) (*Matrix, error) {
 	if nCoeffs <= 0 || nCoeffs > nMels {
 		return nil, errors.New("dsp: coefficient count out of (0, nMels]")
 	}
@@ -71,20 +50,10 @@ func MFCC(signal []float64, cfg STFTConfig, nMels, nCoeffs, sampleRate int) (*Ma
 		for m := 0; m < nMels; m++ {
 			col[m] = mel.At(m, f)
 		}
-		coeffs := DCTII(col)
+		coeffs := dctII(col)
 		for k := 0; k < nCoeffs; k++ {
 			out.Set(k, f, coeffs[k])
 		}
 	}
 	return out, nil
-}
-
-// MFCCVector returns the time-pooled MFCC feature vector of a clip: the
-// per-coefficient mean, a compact fixed-size input for classical models.
-func MFCCVector(signal []float64, cfg STFTConfig, nMels, nCoeffs, sampleRate int) ([]float64, error) {
-	m, err := MFCC(signal, cfg, nMels, nCoeffs, sampleRate)
-	if err != nil {
-		return nil, err
-	}
-	return m.MeanPool(), nil
 }

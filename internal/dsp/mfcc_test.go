@@ -8,9 +8,29 @@ import (
 	"beesim/internal/rng"
 )
 
+// idctII inverts the orthonormal DCT-II (i.e. computes the DCT-III); it
+// is the reference the round-trip test checks dctII against.
+func idctII(c []float64) []float64 {
+	n := len(c)
+	out := make([]float64, n)
+	if n == 0 {
+		return out
+	}
+	scale0 := math.Sqrt(1 / float64(n))
+	scale := math.Sqrt(2 / float64(n))
+	for i := 0; i < n; i++ {
+		sum := c[0] * scale0
+		for k := 1; k < n; k++ {
+			sum += c[k] * scale * math.Cos(math.Pi*float64(k)*(float64(i)+0.5)/float64(n))
+		}
+		out[i] = sum
+	}
+	return out
+}
+
 func TestDCTIIConstantSignal(t *testing.T) {
 	x := []float64{3, 3, 3, 3}
-	c := DCTII(x)
+	c := dctII(x)
 	// All the energy of a constant lands in coefficient 0.
 	if math.Abs(c[0]-6) > 1e-12 { // 3*4*sqrt(1/4)
 		t.Fatalf("c0 = %v, want 6", c[0])
@@ -30,7 +50,7 @@ func TestDCTOrthonormalRoundTrip(t *testing.T) {
 		for i := range x {
 			x[i] = r.Norm()
 		}
-		back := IDCTII(DCTII(x))
+		back := idctII(dctII(x))
 		for i := range x {
 			if math.Abs(back[i]-x[i]) > 1e-9 {
 				return false
@@ -52,7 +72,7 @@ func TestDCTParseval(t *testing.T) {
 		x[i] = r.Norm()
 		before += x[i] * x[i]
 	}
-	c := DCTII(x)
+	c := dctII(x)
 	var after float64
 	for _, v := range c {
 		after += v * v
@@ -63,17 +83,17 @@ func TestDCTParseval(t *testing.T) {
 }
 
 func TestDCTEmpty(t *testing.T) {
-	if out := DCTII(nil); len(out) != 0 {
+	if out := dctII(nil); len(out) != 0 {
 		t.Fatal("empty DCT produced output")
 	}
-	if out := IDCTII(nil); len(out) != 0 {
+	if out := idctII(nil); len(out) != 0 {
 		t.Fatal("empty IDCT produced output")
 	}
 }
 
 func TestMFCCShape(t *testing.T) {
 	sig := tone(250, 22050, 22050)
-	m, err := MFCC(sig, PaperSTFT(), 40, 13, 22050)
+	m, err := mfcc(sig, PaperSTFT(), 40, 13, 22050)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,27 +107,27 @@ func TestMFCCShape(t *testing.T) {
 
 func TestMFCCValidation(t *testing.T) {
 	sig := tone(250, 22050, 22050)
-	if _, err := MFCC(sig, PaperSTFT(), 40, 0, 22050); err == nil {
+	if _, err := mfcc(sig, PaperSTFT(), 40, 0, 22050); err == nil {
 		t.Error("zero coefficients accepted")
 	}
-	if _, err := MFCC(sig, PaperSTFT(), 40, 41, 22050); err == nil {
+	if _, err := mfcc(sig, PaperSTFT(), 40, 41, 22050); err == nil {
 		t.Error("more coefficients than mel bands accepted")
 	}
-	if _, err := MFCC(make([]float64, 10), PaperSTFT(), 40, 13, 22050); err == nil {
+	if _, err := mfcc(make([]float64, 10), PaperSTFT(), 40, 13, 22050); err == nil {
 		t.Error("short signal accepted")
 	}
 }
 
 func TestMFCCDistinguishesTones(t *testing.T) {
-	// MFCCs of a 250 Hz and a 2.5 kHz tone must differ clearly.
-	a, err := MFCCVector(tone(250, 22050, 22050), PaperSTFT(), 40, 13, 22050)
-	if err != nil {
-		t.Fatal(err)
+	// Time-pooled MFCCs of a 250 Hz and a 2.5 kHz tone must differ clearly.
+	pooled := func(freq float64) []float64 {
+		m, err := mfcc(tone(freq, 22050, 22050), PaperSTFT(), 40, 13, 22050)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.MeanPool()
 	}
-	b, err := MFCCVector(tone(2500, 22050, 22050), PaperSTFT(), 40, 13, 22050)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := pooled(250), pooled(2500)
 	var dist float64
 	for i := range a {
 		d := a[i] - b[i]
@@ -115,15 +135,5 @@ func TestMFCCDistinguishesTones(t *testing.T) {
 	}
 	if math.Sqrt(dist) < 1 {
 		t.Fatalf("MFCC distance = %v, want clearly separated tones", math.Sqrt(dist))
-	}
-}
-
-func TestMFCCVectorLength(t *testing.T) {
-	v, err := MFCCVector(tone(440, 22050, 22050), PaperSTFT(), 40, 13, 22050)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v) != 13 {
-		t.Fatalf("vector length = %d", len(v))
 	}
 }

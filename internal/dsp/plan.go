@@ -97,7 +97,7 @@ func NewPlan(cfg STFTConfig, nMels, sampleRate int) (*Plan, error) {
 	// Warm the shared twiddle tables once at plan build so the hot path
 	// never takes the cache-miss branch.
 	if cfg.FFTSize >= 2 {
-		twiddles(cfg.FFTSize/2, false)
+		twiddles(cfg.FFTSize / 2)
 		rfftTwiddles(cfg.FFTSize)
 	}
 	if nMels > 0 {
@@ -171,12 +171,6 @@ func (p *Plan) Frames(sigLen int) int {
 	return 1 + (sigLen-p.cfg.FFTSize)/p.cfg.Hop
 }
 
-// Config returns the plan's STFT shape.
-func (p *Plan) Config() STFTConfig { return p.cfg }
-
-// NMels returns the plan's mel band count (0 for power-only plans).
-func (p *Plan) NMels() int { return p.nMels }
-
 // getScratch pops a pooled arena (or builds one on first use).
 func (p *Plan) getScratch() *planScratch { return p.scratch.Get().(*planScratch) }
 
@@ -238,11 +232,6 @@ func (p *Plan) PowerSpectrogram(signal []float64) (*Matrix, error) {
 // cache-friendly orientation for per-frame band reductions.
 func (p *Plan) PowerFrames(signal []float64) (*Matrix, error) {
 	return p.powerSpectrogram(nil, signal, true)
-}
-
-// PowerFramesInto is PowerFrames reusing dst's backing storage.
-func (p *Plan) PowerFramesInto(dst *Matrix, signal []float64) (*Matrix, error) {
-	return p.powerSpectrogram(dst, signal, true)
 }
 
 func (p *Plan) powerSpectrogram(dst *Matrix, signal []float64, frameMajor bool) (*Matrix, error) {

@@ -56,8 +56,8 @@ func TestPlanFrames(t *testing.T) {
 			t.Errorf("Frames(%d) = %d, want %d", sigLen, got, want)
 		}
 	}
-	if p.Config().FFTSize != 256 || p.NMels() != 0 {
-		t.Errorf("plan shape accessors: cfg=%+v nMels=%d", p.Config(), p.NMels())
+	if p.cfg.FFTSize != 256 || p.nMels != 0 {
+		t.Errorf("plan shape: cfg=%+v nMels=%d", p.cfg, p.nMels)
 	}
 }
 
@@ -154,7 +154,7 @@ func TestSparseBankMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fb, err := MelFilterbank(tc.nMels, tc.cfg.FFTSize, tc.sampleRate)
+		fb, err := melFilterbank(tc.nMels, tc.cfg.FFTSize, tc.sampleRate)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestMelSpectrogramIntoReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pow, err = powPlan.PowerFramesInto(pow, clip)
+		pow, err = powPlan.powerSpectrogram(pow, clip, true)
 		if err != nil {
 			t.Fatal(err)
 		}

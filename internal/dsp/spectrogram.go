@@ -88,19 +88,10 @@ func HzToMel(hz float64) float64 { return 2595 * math.Log10(1+hz/700) }
 // MelToHz converts the HTK mel scale back to frequency.
 func MelToHz(mel float64) float64 { return 700 * (math.Pow(10, mel/2595) - 1) }
 
-// MelFilterbank builds nMels triangular filters over FFT bins for the
-// given sample rate, spanning 0 Hz to Nyquist. The returned matrix is
-// nMels x (fftSize/2+1); each row sums the power bins of one mel band.
-// The build is memoized by shape; the caller gets a private copy.
-func MelFilterbank(nMels, fftSize, sampleRate int) (*Matrix, error) {
-	fb, err := melFilterbank(nMels, fftSize, sampleRate)
-	if err != nil {
-		return nil, err
-	}
-	return &Matrix{Rows: fb.Rows, Cols: fb.Cols, Data: append([]float64(nil), fb.Data...)}, nil
-}
-
-// buildMelFilterbank is the uncached construction behind MelFilterbank.
+// buildMelFilterbank builds nMels triangular filters over FFT bins for
+// the given sample rate, spanning 0 Hz to Nyquist. The returned matrix
+// is nMels x (fftSize/2+1); each row sums the power bins of one mel
+// band. melFilterbank memoizes it by shape.
 func buildMelFilterbank(nMels, fftSize, sampleRate int) (*Matrix, error) {
 	if nMels <= 0 || fftSize <= 0 || sampleRate <= 0 {
 		return nil, errors.New("dsp: invalid filterbank shape")

@@ -72,7 +72,7 @@ func TestMelScaleRoundTrip(t *testing.T) {
 }
 
 func TestMelFilterbankShapeAndCoverage(t *testing.T) {
-	fb, err := MelFilterbank(128, 2048, 22050)
+	fb, err := melFilterbank(128, 2048, 22050)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +96,13 @@ func TestMelFilterbankShapeAndCoverage(t *testing.T) {
 }
 
 func TestMelFilterbankErrors(t *testing.T) {
-	if _, err := MelFilterbank(0, 2048, 22050); err == nil {
+	if _, err := buildMelFilterbank(0, 2048, 22050); err == nil {
 		t.Error("zero mel bands accepted")
 	}
-	if _, err := MelFilterbank(128, 0, 22050); err == nil {
+	if _, err := buildMelFilterbank(128, 0, 22050); err == nil {
 		t.Error("zero FFT size accepted")
 	}
-	if _, err := MelFilterbank(128, 2048, 0); err == nil {
+	if _, err := buildMelFilterbank(128, 2048, 0); err == nil {
 		t.Error("zero sample rate accepted")
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"time"
 
 	"beesim/internal/core"
+	"beesim/internal/deployment"
 	"beesim/internal/ledger"
 	"beesim/internal/routine"
-	"beesim/internal/stats"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -105,8 +105,8 @@ func TestFigure6(t *testing.T) {
 	}
 	// Edge per-client flat at 322 J in the edge+cloud scenario.
 	for _, p := range pts {
-		if !almostEq(float64(p.EdgeCloud.PerClientEdge()), 322, 0.5) {
-			t.Fatalf("edge share at %d clients = %v", p.Clients, p.EdgeCloud.PerClientEdge())
+		if !almostEq(float64(p.EdgeCloud.EdgeEnergy)/float64(p.EdgeCloud.Clients), 322, 0.5) {
+			t.Fatalf("edge share at %d clients = %v", p.Clients, float64(p.EdgeCloud.EdgeEnergy)/float64(p.EdgeCloud.Clients))
 		}
 	}
 	// Server share converges toward ~116 J at multiples of 180.
@@ -114,8 +114,8 @@ func TestFigure6(t *testing.T) {
 	if at180.Clients != 180 {
 		t.Fatalf("index arithmetic wrong: %d", at180.Clients)
 	}
-	if !almostEq(float64(at180.EdgeCloud.PerClientServer()), 116, 2) {
-		t.Errorf("server share at 180 = %v, want ~116", at180.EdgeCloud.PerClientServer())
+	if !almostEq(float64(at180.EdgeCloud.ServerEnergy)/float64(at180.EdgeCloud.Clients), 116, 2) {
+		t.Errorf("server share at 180 = %v, want ~116", float64(at180.EdgeCloud.ServerEnergy)/float64(at180.EdgeCloud.Clients))
 	}
 	// Server count steps at the 180-client capacity.
 	if pts[170-10].EdgeCloud.Servers != 1 || pts[181-10].EdgeCloud.Servers != 2 {
@@ -171,7 +171,7 @@ func TestFigure8Variants(t *testing.T) {
 		if v == LossA {
 			// Server cost at a full server (~180 clients) near 186 J.
 			p := pts[180-10]
-			floorA = float64(p.EdgeCloud.PerClientServer())
+			floorA = float64(p.EdgeCloud.ServerEnergy) / float64(p.EdgeCloud.Clients)
 			if !almostEq(floorA, 186, 4) {
 				t.Errorf("loss A floor = %v, want ~186", floorA)
 			}
@@ -287,11 +287,13 @@ func TestSweepSeriesAndCrossovers(t *testing.T) {
 	if xs[0] < 400 || xs[0] > 412 {
 		t.Fatalf("first crossover at %v, want ~406", xs[0])
 	}
-	_ = stats.ArgMax // keep the stats dependency explicit
 }
 
 func TestFigure2ShortTrace(t *testing.T) {
-	tr, err := Figure2Custom(2, 10*time.Minute)
+	cfg := deployment.DefaultConfig()
+	cfg.Days = 2
+	cfg.WakePeriod = 10 * time.Minute
+	tr, err := deployment.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

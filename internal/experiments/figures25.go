@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"beesim/internal/audio"
 	"beesim/internal/deployment"
@@ -19,15 +18,6 @@ import (
 // 10-minute wake-up period, night brownouts).
 func Figure2() (*deployment.Trace, error) {
 	return deployment.Run(deployment.DefaultConfig())
-}
-
-// Figure2Custom runs the deployment trace with a custom day count and
-// wake period (Figure 2a uses a week; shorter runs are handy for tests).
-func Figure2Custom(days int, wakePeriod time.Duration) (*deployment.Trace, error) {
-	cfg := deployment.DefaultConfig()
-	cfg.Days = days
-	cfg.WakePeriod = wakePeriod
-	return deployment.Run(cfg)
 }
 
 // ---------------------------------------------------------------------

@@ -225,9 +225,6 @@ func TestNilInjectorHealthy(t *testing.T) {
 	if u := in.JitterU(at, 1); u != 0.5 {
 		t.Fatalf("nil jitter = %g, want 0.5", u)
 	}
-	if !in.Start().IsZero() {
-		t.Fatal("nil injector has a start")
-	}
 }
 
 func TestOutageAndBurstWindows(t *testing.T) {

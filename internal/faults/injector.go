@@ -38,22 +38,6 @@ func NewInjector(plan Plan, start time.Time) (*Injector, error) {
 	return &Injector{plan: plan, start: start}, nil
 }
 
-// Plan returns the armed plan.
-func (in *Injector) Plan() Plan {
-	if in == nil {
-		return Plan{}
-	}
-	return in.plan
-}
-
-// Start returns the virtual instant the plan is anchored to.
-func (in *Injector) Start() time.Time {
-	if in == nil {
-		return time.Time{}
-	}
-	return in.start
-}
-
 // uniform derives a draw in [0, 1) from the plan seed, a purpose salt,
 // the virtual instant and the attempt number. Chaining the stream-seed
 // mix (SplitMix64 finalization at each step) gives a well-distributed

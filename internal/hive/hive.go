@@ -99,16 +99,6 @@ func New(cfg Config) *Colony {
 	return &Colony{cfg: cfg, r: rng.New(cfg.Seed)}
 }
 
-// SetQueen changes the queen state (e.g. to script a queen-loss event in
-// an experiment).
-func (c *Colony) SetQueen(q QueenState) { c.cfg.Queen = q }
-
-// Queen returns the current queen state.
-func (c *Colony) Queen() QueenState { return c.cfg.Queen }
-
-// Population returns the adult worker count.
-func (c *Colony) Population() int { return c.cfg.Population }
-
 // regulation returns the colony's thermoregulation strength in [0,1]:
 // 0 = empty hive tracking ambient, 1 = full colony holding the target.
 func (c *Colony) regulation() float64 {

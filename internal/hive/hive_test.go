@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"beesim/internal/solar"
-	"beesim/internal/units"
 	"beesim/internal/weather"
 )
 
@@ -115,11 +114,9 @@ func TestQueenStateString(t *testing.T) {
 }
 
 func TestSetQueenPropagates(t *testing.T) {
-	c := New(DefaultConfig())
-	c.SetQueen(QueenLost)
-	if c.Queen() != QueenLost {
-		t.Fatal("SetQueen did not stick")
-	}
+	cfg := DefaultConfig()
+	cfg.Queen = QueenLost
+	c := New(cfg)
 	s := c.StateAt(sampleAt(t, 12, 0.2))
 	if s.Queen != QueenLost {
 		t.Fatal("state does not carry queen state")
@@ -146,11 +143,4 @@ func TestActivityBounds(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestPopulationAccessor(t *testing.T) {
-	if New(DefaultConfig()).Population() != 40000 {
-		t.Fatal("population accessor mismatch")
-	}
-	_ = units.Celsius(0) // keep import in intent: config carries Celsius
 }

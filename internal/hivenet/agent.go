@@ -113,7 +113,6 @@ type Agent struct {
 	cycles     int
 	wakes      int
 	edgeEnergy units.Joules
-	lastResult *proto.Result
 	lastTrace  string
 }
 
@@ -201,14 +200,6 @@ func (a *Agent) Cycles() int { return a.cycles }
 // per the calibrated tables; sleep is not included since wall-clock time
 // in tests is compressed).
 func (a *Agent) EdgeEnergy() units.Joules { return a.edgeEnergy }
-
-// LastResult returns the most recent verdict, if any.
-func (a *Agent) LastResult() (proto.Result, bool) {
-	if a.lastResult == nil {
-		return proto.Result{}, false
-	}
-	return *a.lastResult, true
-}
 
 // LastTraceID returns the trace ID of the most recent wake-up ("" when
 // the agent runs untraced or has not cycled yet). Use it to fetch the
@@ -360,7 +351,6 @@ func (a *Agent) RunCycle(state hive.QueenState, activity float64, now time.Time)
 			map[string]any{"hive": a.cfg.HiveID})
 	}
 	a.cycles++
-	a.lastResult = &result
 	a.lastTrace = sc.TraceHex()
 	return result, nil
 }

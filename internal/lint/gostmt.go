@@ -8,7 +8,7 @@ package lint
 // three rules:
 //
 //  1. go statements inside DES event handlers (Sim.At/After/Every
-//     callbacks, Process.Then/ThenNamed stages) are findings, as before.
+//     callbacks) are findings, as before.
 //  2. Calls into internal/parallel from inside a DES event handler are
 //     findings too: fan-out must happen outside the simulated event
 //     loop, or the pool's goroutines race the calendar just the same.
@@ -24,12 +24,9 @@ import (
 	"go/types"
 )
 
-// desCallbackMethods maps des receiver type name -> methods whose
-// function-literal arguments run as event handlers.
-var desCallbackMethods = map[string]map[string]bool{
-	"Sim":     {"At": true, "After": true, "Every": true},
-	"Process": {"Then": true, "ThenNamed": true},
-}
+// desCallbackMethods are the des.Sim methods whose function-literal
+// arguments run as event handlers.
+var desCallbackMethods = map[string]bool{"At": true, "After": true, "Every": true}
 
 // gostmtExemptPkgs may spawn goroutines without annotation:
 // internal/parallel is the sanctioned fork/join layer, and the hivenet
@@ -73,8 +70,7 @@ var analyzerGoStmt = &Analyzer{
 			if !ok {
 				return true
 			}
-			methods := desCallbackMethods[named.Obj().Name()]
-			if methods == nil || !methods[sel.Sel.Name] {
+			if named.Obj().Name() != "Sim" || !desCallbackMethods[sel.Sel.Name] {
 				return true
 			}
 			for _, arg := range call.Args {

@@ -161,29 +161,6 @@ func (r *Runner) RunPackage(pkg *Package, fset *token.FileSet) []Finding {
 	return SortFindings(kept)
 }
 
-// ModuleOptions steers RunModule.
-type ModuleOptions struct {
-	// Interprocedural enables the module-wide call-graph pass
-	// (cross-package taint and sink summaries). Disabling it restores
-	// the v1 file-local behavior — useful for measuring exactly what
-	// the whole-program analysis buys.
-	Interprocedural bool
-}
-
-// RunModule runs the per-package suite over every package and then, if
-// enabled, the interprocedural pass over the whole set. root is the
-// directory chain positions inside messages are rendered relative to.
-func (r *Runner) RunModule(pkgs []*Package, fset *token.FileSet, root string, opts ModuleOptions) []Finding {
-	var all []Finding
-	for _, pkg := range pkgs {
-		all = append(all, r.RunPackage(pkg, fset)...)
-	}
-	if opts.Interprocedural {
-		all = append(all, NewModule(pkgs, fset, root).InterproceduralFindings()...)
-	}
-	return SortFindings(all)
-}
-
 // SortFindings orders findings by (file, line, col, check, msg) so the
 // linter's output — text or JSON — is byte-stable across runs.
 func SortFindings(fs []Finding) []Finding {

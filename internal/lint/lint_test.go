@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"go/token"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,6 +12,30 @@ import (
 	"sync"
 	"testing"
 )
+
+// ModuleOptions steers RunModule.
+type ModuleOptions struct {
+	// Interprocedural enables the module-wide call-graph pass
+	// (cross-package taint and sink summaries). Disabling it restores
+	// the v1 file-local behavior — useful for measuring exactly what
+	// the whole-program analysis buys.
+	Interprocedural bool
+}
+
+// RunModule is the whole-module run the tests and the module benchmark
+// drive: it runs the per-package suite over every package and then, if
+// enabled, the interprocedural pass over the whole set. root is the
+// directory chain positions inside messages are rendered relative to.
+func (r *Runner) RunModule(pkgs []*Package, fset *token.FileSet, root string, opts ModuleOptions) []Finding {
+	var all []Finding
+	for _, pkg := range pkgs {
+		all = append(all, r.RunPackage(pkg, fset)...)
+	}
+	if opts.Interprocedural {
+		all = append(all, NewModule(pkgs, fset, root).InterproceduralFindings()...)
+	}
+	return SortFindings(all)
+}
 
 // The fixture corpus lives under testdata/src/<case>. Each case is a
 // self-contained package checked under a synthetic import path, so
@@ -53,7 +78,7 @@ func fixtureDir(t *testing.T, name string) string {
 // analyzer suite (including directive validation and suppression).
 func runFixture(t *testing.T, l *Loader, name, importPath string) []Finding {
 	t.Helper()
-	pkg, err := l.Check(fixtureDir(t, name), importPath)
+	pkg, err := l.check(fixtureDir(t, name), importPath)
 	if err != nil {
 		t.Fatalf("check fixture %s: %v", name, err)
 	}
@@ -157,7 +182,7 @@ func TestFixtures(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, d := range tc.deps {
-				if _, err := l.Check(fixtureDir(t, d[0]), d[1]); err != nil {
+				if _, err := l.check(fixtureDir(t, d[0]), d[1]); err != nil {
 					t.Fatalf("check dep %s: %v", d[0], err)
 				}
 			}
@@ -179,7 +204,7 @@ func interprocFixtures(t *testing.T, l *Loader) []*Package {
 		{"interproc/sink", "fixture/ip/sink"},
 		{"interproc/sim", "fixture/ip/sim"},
 	} {
-		pkg, err := l.Check(fixtureDir(t, d[0]), d[1])
+		pkg, err := l.check(fixtureDir(t, d[0]), d[1])
 		if err != nil {
 			t.Fatalf("check %s: %v", d[0], err)
 		}
@@ -317,7 +342,7 @@ func TestFixCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := l.Check(dir, "beesim/fixcorpus")
+	pkg, err := l.check(dir, "beesim/fixcorpus")
 	if err != nil {
 		t.Fatalf("check corpus: %v", err)
 	}
@@ -362,7 +387,7 @@ func TestFixCorpus(t *testing.T) {
 
 	// Round trip: the fixed corpus type-checks, re-lints clean, and
 	// offers no further fixes.
-	fixedPkg, err := l.Check(fixedDir, "beesim/fixcorpusfixed")
+	fixedPkg, err := l.check(fixedDir, "beesim/fixcorpusfixed")
 	if err != nil {
 		t.Fatalf("fixed corpus does not type-check: %v", err)
 	}

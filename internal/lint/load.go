@@ -154,13 +154,9 @@ func (l *Loader) moduleRel(path string) (string, bool) {
 	return "", false
 }
 
-// Check parses and type-checks the package in dir under the given
+// check parses and type-checks the package in dir under the given
 // import path, reusing the cache. Fixture packages (testdata dirs) are
 // checked the same way the real tree is, just with a synthetic path.
-func (l *Loader) Check(dir, importPath string) (*Package, error) {
-	return l.check(dir, importPath)
-}
-
 func (l *Loader) check(dir, importPath string) (*Package, error) {
 	if pkg, ok := l.pkgs[importPath]; ok {
 		return pkg, nil

@@ -25,10 +25,6 @@ func schedule(start time.Time) {
 	_, _ = s.Every(time.Minute, func() {
 		_, _ = parallel.Map(2, 4, func(i int) (int, error) { return i, nil }) // want gostmt
 	})
-	p := des.NewProcess(s)
-	_ = p.Then(time.Second, func(pp *des.Process) {
-		go work() // want gostmt
-	})
 	go work() // want gostmt
 	s.Run(start.Add(2 * time.Hour))
 }

@@ -11,9 +11,9 @@ package lint
 //
 //  2. bare constants — passing an untyped constant where a units
 //     parameter is expected (`NewBattery(12, 100)`) type-checks via
-//     implicit conversion, hiding which argument is the Volts and
-//     which the AmpereHours. Non-zero constants must be written as
-//     explicit conversions (`units.Volts(12)`).
+//     implicit conversion, hiding which argument is the Watts and
+//     which the WattHours. Non-zero constants must be written as
+//     explicit conversions (`units.Watts(12)`).
 
 import (
 	"go/ast"

@@ -87,17 +87,6 @@ func serviceSeconds(spec LoadSpec) float64 {
 	return cloud.Receive().Duration.Seconds() + cloud.ExecSVM().Duration.Seconds()
 }
 
-// serverBurstJoules is the above-idle cloud energy one delivered
-// upload costs (receive + SVM execute), mirroring the live server's
-// accountUpload arithmetic.
-func serverBurstJoules() float64 {
-	cloud := power.DefaultCloud()
-	idle := float64(cloud.IdlePower)
-	rx, ex := cloud.Receive(), cloud.ExecSVM()
-	return (float64(rx.Energy) - idle*rx.Duration.Seconds()) +
-		(float64(ex.Energy) - idle*ex.Duration.Seconds())
-}
-
 // attemptItem is one pending upload attempt in a shard's event queue.
 type attemptItem struct {
 	at      time.Duration // attempt arrival (virtual)
@@ -168,7 +157,10 @@ func simShard(spec LoadSpec, evs []Event, scale float64, inj *faults.Injector,
 	res := shardResult{reg: obs.NewRegistry()}
 	serviceS := serviceSeconds(spec)
 	service := seconds(serviceS)
-	burstJ := serverBurstJoules()
+	// The above-idle cloud energy one delivered upload costs: the same
+	// receive and SVM-execute bursts the live server books.
+	cloud := power.DefaultCloud()
+	burstJ := float64(cloud.AboveIdle(cloud.Receive()) + cloud.AboveIdle(cloud.ExecSVM()))
 	send := power.DefaultPi3B().SendAudio()
 	budget := spec.Server.MaxInflight
 

@@ -2,7 +2,9 @@ package loadgen
 
 import (
 	"testing"
+	"time"
 
+	"beesim/internal/hive"
 	"beesim/internal/hivenet"
 	"beesim/internal/netsim"
 	"beesim/internal/slo"
@@ -115,6 +117,27 @@ func TestSimulateEnergyAndEntries(t *testing.T) {
 		if res.Entries[i].T.Before(res.Entries[i-1].T) {
 			t.Fatalf("entries out of time order at %d", i)
 		}
+	}
+
+	// The planner books each delivery at what the live server charges
+	// for one upload.
+	servers, addrs, _ := bootShards(t, spec, 1)
+	agentCfg := hivenet.DefaultAgentConfig("energy-probe")
+	agentCfg.ClipSeconds = spec.ClipS
+	agent, err := hivenet.Dial(addrs[0], agentCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+	if _, err := agent.RunCycle(hive.QueenPresent, 0.6, time.Now().UTC()); err != nil {
+		t.Fatal(err)
+	}
+	live := servers[0].Stats()
+	if live.Uploads != 1 {
+		t.Fatalf("live server counted %d uploads, want 1", live.Uploads)
+	}
+	if got, want := res.ServerJ/float64(res.Delivered), float64(live.BurstEnergy); got != want {
+		t.Fatalf("planner books %v J per upload, live server %v J", got, want)
 	}
 }
 

@@ -343,19 +343,6 @@ func TestImageFromMatrix(t *testing.T) {
 	}
 }
 
-func TestNumParamsPositiveAndStable(t *testing.T) {
-	net, _ := New(DefaultConfig())
-	if net.NumParams() == 0 {
-		t.Fatal("no parameters")
-	}
-	if net.NumParams() != func() int { n, _ := New(DefaultConfig()); return n.NumParams() }() {
-		t.Fatal("parameter count unstable")
-	}
-	if net.InputSize() != 100 {
-		t.Fatal("input size accessor broken")
-	}
-}
-
 func TestResidualIdentityAtZeroWeights(t *testing.T) {
 	r := rng.New(5)
 	block := NewResidual(2, r)

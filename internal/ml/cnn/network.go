@@ -31,12 +31,6 @@ type Config struct {
 	Seed uint64
 }
 
-// DefaultConfig is the reference queen-detection net at the paper's
-// optimal 100 x 100 input.
-func DefaultConfig() Config {
-	return Config{InputSize: 100, Classes: 2, BaseChannels: 8, Seed: 1}
-}
-
 // New builds the reference architecture: conv-ReLU-pool, conv-ReLU-pool,
 // residual block, pool, dense. Inputs smaller than 16 x 16 cannot survive
 // the three pooling stages.
@@ -72,9 +66,6 @@ func New(cfg Config) (*Network, error) {
 	}
 	return n, nil
 }
-
-// InputSize returns the expected square input side length.
-func (n *Network) InputSize() int { return n.inSize }
 
 // Forward runs the network and returns the class logits.
 func (n *Network) Forward(x *Tensor) []float64 {
@@ -234,17 +225,6 @@ func (n *Network) FLOPs() float64 {
 		f, oc, oh, ow := l.FLOPs(c, h, w)
 		total += f
 		c, h, w = oc, oh, ow
-	}
-	return total
-}
-
-// NumParams returns the learnable parameter count.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, l := range n.layers {
-		for _, p := range l.Params() {
-			total += len(p.Data)
-		}
 	}
 	return total
 }

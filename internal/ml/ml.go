@@ -150,20 +150,6 @@ type Classifier interface {
 	Predict(x []float64) int
 }
 
-// Accuracy returns the fraction of correct predictions on the dataset.
-func Accuracy(c Classifier, d *Dataset) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	correct := 0
-	for i, row := range d.X {
-		if c.Predict(row) == d.Y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(d.Len())
-}
-
 // ConfusionMatrix counts predictions: element [true][predicted].
 func ConfusionMatrix(c Classifier, d *Dataset, classes int) [][]int {
 	m := make([][]int, classes)

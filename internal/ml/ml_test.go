@@ -130,10 +130,10 @@ func (threshold) Predict(x []float64) int {
 
 func TestAccuracy(t *testing.T) {
 	d := toyData(t)
-	if acc := Accuracy(threshold{}, d); acc != 1 {
+	if acc := EvaluateBinary(threshold{}, d).Accuracy; acc != 1 {
 		t.Fatalf("accuracy = %v, want 1", acc)
 	}
-	if acc := Accuracy(threshold{}, &Dataset{}); acc != 0 {
+	if acc := EvaluateBinary(threshold{}, &Dataset{}).Accuracy; acc != 0 {
 		t.Fatalf("accuracy on empty = %v, want 0", acc)
 	}
 }

@@ -251,10 +251,6 @@ func (m *Model) Predict(x []float64) int {
 // NumSupportVectors returns the size of the support set.
 func (m *Model) NumSupportVectors() int { return len(m.vectors) }
 
-// Gamma returns the kernel coefficient actually used (after the scale
-// heuristic is resolved).
-func (m *Model) Gamma() float64 { return m.gamma }
-
 // FLOPs estimates the arithmetic cost of one prediction: each support
 // vector costs ~3*dim operations (diff, square, accumulate) plus an exp.
 func (m *Model) FLOPs() float64 {

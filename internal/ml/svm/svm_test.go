@@ -86,7 +86,7 @@ func TestSeparableBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := ml.Accuracy(m, test); acc < 0.95 {
+	if acc := ml.EvaluateBinary(m, test).Accuracy; acc < 0.95 {
 		t.Fatalf("separable accuracy = %v, want >= 0.95", acc)
 	}
 	if m.NumSupportVectors() == 0 || m.NumSupportVectors() > train.Len() {
@@ -104,7 +104,7 @@ func TestXORNeedsRBF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := ml.Accuracy(m, test); acc < 0.9 {
+	if acc := ml.EvaluateBinary(m, test).Accuracy; acc < 0.9 {
 		t.Fatalf("XOR accuracy = %v, want >= 0.9", acc)
 	}
 }
@@ -145,8 +145,8 @@ func TestScaleGammaHeuristic(t *testing.T) {
 	}
 	// gamma = 1/(dim * meanVar); blobs have per-feature variance ~1+sep²/4,
 	// so gamma should be positive and below 1/dim.
-	if m.Gamma() <= 0 || m.Gamma() > 1.0/8 {
-		t.Fatalf("scale gamma = %v out of expected range", m.Gamma())
+	if m.gamma <= 0 || m.gamma > 1.0/8 {
+		t.Fatalf("scale gamma = %v out of expected range", m.gamma)
 	}
 }
 
@@ -178,7 +178,7 @@ func TestNoisyDataDoesNotOverfitToUselessness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := ml.Accuracy(m, test); acc < 0.7 {
+	if acc := ml.EvaluateBinary(m, test).Accuracy; acc < 0.7 {
 		t.Fatalf("overlapping-blob accuracy = %v, want >= 0.7", acc)
 	}
 }

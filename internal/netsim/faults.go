@@ -232,10 +232,3 @@ func (l *Link) failAttempt(at time.Time, retryE *stats.Kahan, sc *obs.SpanContex
 	}
 	return d
 }
-
-// Faulted reports whether a fault injector is armed on the link.
-func (l *Link) Faulted() bool { return l.inj != nil }
-
-// RetryPolicy returns the armed retry policy (zero value when no
-// injector is armed).
-func (l *Link) RetryPolicy() faults.RetryPolicy { return l.retry }

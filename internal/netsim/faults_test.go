@@ -49,7 +49,7 @@ func TestSendAtNilInjectorMatchesSend(t *testing.T) {
 			t.Fatalf("nil-injector SendAt diverged from Send: %+v vs %+v", out.Transfer, tr)
 		}
 	}
-	if a.Faulted() || b.Faulted() {
+	if a.inj != nil || b.inj != nil {
 		t.Fatal("unarmed link reports faults")
 	}
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -30,6 +31,13 @@ func TestRoutinePayloadSize(t *testing.T) {
 	}
 }
 
+// expectedDuration is the closed-form transfer time at exactly the
+// nominal throughput: what a link with zero jitter must take.
+func expectedDuration(cfg Config, payload Bytes) time.Duration {
+	return cfg.SetupTime +
+		time.Duration(float64(payload)/cfg.NominalThroughput*float64(time.Second))
+}
+
 func TestDeterministicLink(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Sigma = 0
@@ -38,7 +46,7 @@ func TestDeterministicLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := l.Send(RoutinePayload())
-	want := l.ExpectedDuration(RoutinePayload())
+	want := expectedDuration(cfg, RoutinePayload())
 	if tr.Duration != want {
 		t.Fatalf("deterministic duration = %v, want %v", tr.Duration, want)
 	}
@@ -57,10 +65,8 @@ func TestThroughputMedianNearNominal(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		tputs = append(tputs, l.Send(AudioSample10s).Throughput)
 	}
-	med, err := stats.Percentile(tputs, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sort.Float64s(tputs)
+	med := (tputs[len(tputs)/2-1] + tputs[len(tputs)/2]) / 2
 	if math.Abs(med-150_000)/150_000 > 0.05 {
 		t.Fatalf("median throughput = %v, want ~150000", med)
 	}
@@ -115,9 +121,6 @@ func TestZeroAndNegativePayload(t *testing.T) {
 	n := l.Send(-100)
 	if n.Duration != cfg.SetupTime || n.Payload != 0 {
 		t.Fatalf("negative payload handled wrong: %+v", n)
-	}
-	if l.ExpectedDuration(-1) != cfg.SetupTime {
-		t.Fatal("ExpectedDuration on negative payload wrong")
 	}
 }
 

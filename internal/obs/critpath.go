@@ -267,7 +267,7 @@ func AggregateSegments(sums []TraceSummary) []SegmentStats {
 }
 
 // rankQuantile picks the rank-ceil(q*n) element of sorted vals — the
-// same exact-count rule Histogram.Quantile uses.
+// same exact-count rule HistogramSnap.Quantile uses.
 func rankQuantile(vals []int64, q float64) int64 {
 	if len(vals) == 0 {
 		return 0

@@ -313,46 +313,6 @@ func (h *Histogram) Max() float64 {
 	return floatFromOrdered(h.maxOrd.Load())
 }
 
-// Quantile returns the q-quantile (0 < q <= 1) by exact-count rank over
-// the bucket grid: the element of rank ceil(q*Count) is located and its
-// bucket's upper bound reported, clamped into [Min, Max] so the
-// estimate never leaves the observed range. Samples in the low bucket
-// rank below the grid and report Min; samples in the high bucket rank
-// above it and report Max. Returns NaN when the histogram is empty or q
-// is out of range.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return math.NaN()
-	}
-	total := h.count.Load()
-	if total == 0 || !(q > 0 && q <= 1) {
-		return math.NaN()
-	}
-	min, max := h.Min(), h.Max()
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	cum := h.low.Load()
-	if rank <= cum {
-		return min
-	}
-	for i := 0; i < histBuckets; i++ {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		cum += c
-		if rank <= cum {
-			return clampTo(bucketBound(i), min, max)
-		}
-	}
-	return max
-}
-
 func clampTo(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo

@@ -86,30 +86,14 @@ type HistogramSnap struct {
 	Exemplars []ExemplarSnap `json:"exemplars,omitempty"`
 }
 
-// ExemplarNear returns the exemplar whose value is closest to v — the
-// "show me a trace behind this quantile" lookup: pass a quantile
-// estimate and get a concrete trace ID from that neighborhood. Ties
-// break toward the smaller trace ID. ok=false when the snapshot holds
-// no exemplars or v is not finite.
-func (h HistogramSnap) ExemplarNear(v float64) (ExemplarSnap, bool) {
-	if len(h.Exemplars) == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-		return ExemplarSnap{}, false
-	}
-	best := h.Exemplars[0]
-	bestD := math.Abs(best.Value - v)
-	for _, e := range h.Exemplars[1:] {
-		d := math.Abs(e.Value - v)
-		if d < bestD || (d == bestD && e.TraceID < best.TraceID) {
-			best, bestD = e, d
-		}
-	}
-	return best, true
-}
-
 // Quantile computes the q-quantile (0 < q <= 1) from the exported
-// buckets by exact-count rank, exactly as Histogram.Quantile does live.
-// It works on snapshots loaded back from JSON too. The second return is
-// false when the snapshot is empty or q is out of range.
+// buckets by exact-count rank over the bucket grid: the element of rank
+// ceil(q*Count) is located and its bucket's upper bound reported,
+// clamped into [Min, Max] so the estimate never leaves the observed
+// range. Samples in the low bucket rank below the grid and report Min;
+// samples in the high bucket rank above it and report Max. It works on
+// snapshots loaded back from JSON too. The second return is false when
+// the snapshot is empty or q is out of range.
 func (h HistogramSnap) Quantile(q float64) (float64, bool) {
 	if h.Count == 0 || !(q > 0 && q <= 1) {
 		return 0, false
@@ -224,11 +208,6 @@ func (s Snapshot) FindHistogram(name string) (HistogramSnap, bool) {
 		return s.Histograms[i], true
 	}
 	return HistogramSnap{}, false
-}
-
-// Empty reports whether the snapshot holds no metrics at all.
-func (s Snapshot) Empty() bool {
-	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Histograms) == 0
 }
 
 // WriteJSON writes the snapshot as one JSON object.

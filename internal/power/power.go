@@ -139,9 +139,6 @@ type PiZero struct {
 // DefaultPiZero returns a typical Zero WH + Grove hat draw.
 func DefaultPiZero() PiZero { return PiZero{ActivePower: 0.75} }
 
-// Energy returns the monitor's consumption over duration d.
-func (p PiZero) Energy(d time.Duration) units.Joules { return p.ActivePower.Energy(d) }
-
 // Cloud is the cloud server energy model (i7-8700K + RTX 2070).
 // Table II implies: idle 9415 J / 211.1 s = 44.6 W, receive 1032 J / 15 s
 // = 68.8 W, SVM execution 6.3 J / 0.1 s, CNN execution 108 J / 1.0 s.
@@ -169,6 +166,13 @@ func (c Cloud) ExecSVM() Task { return NewTask("Queen detection model (SVM)", 6.
 
 // ExecCNN is the queen-detection CNN execution on the server (GPU burst).
 func (c Cloud) ExecCNN() Task { return NewTask("Queen detection model (CNN)", 108, 1.0) }
+
+// AboveIdle returns the energy task t costs the server beyond the idle
+// draw it would pay anyway over the same time: the burst that one
+// upload's receive or model execution adds to the server's books.
+func (c Cloud) AboveIdle(t Task) units.Joules {
+	return t.Energy - c.IdlePower.Energy(t.Duration)
+}
 
 // InferenceModel converts a model's arithmetic cost into edge energy and
 // duration. Figure 5 shows the CNN's edge inference cost growing as a

@@ -78,6 +78,18 @@ func TestCloudIdlePower(t *testing.T) {
 	}
 }
 
+func TestCloudAboveIdle(t *testing.T) {
+	c := DefaultCloud()
+	// Table II: receiving costs 1032 J over 15 s and the SVM 6.3 J over
+	// 0.1 s, against a 44.6 W idle draw: 363 J + 1.84 J per upload.
+	if got := float64(c.AboveIdle(c.Receive())); !almostEq(got, 363, 1e-9) {
+		t.Fatalf("receive above idle = %v, want 363 J", got)
+	}
+	if got := float64(c.AboveIdle(c.ExecSVM())); !almostEq(got, 1.84, 1e-9) {
+		t.Fatalf("SVM execute above idle = %v, want 1.84 J", got)
+	}
+}
+
 func TestAveragePowerFigure3Anchors(t *testing.T) {
 	p := DefaultPi3B()
 	// 5-minute wake-up: the paper measures 1.19 W.
@@ -117,7 +129,7 @@ func TestAveragePowerSaturatesBelowRoutine(t *testing.T) {
 
 func TestPiZeroEnergy(t *testing.T) {
 	z := DefaultPiZero()
-	e := z.Energy(24 * time.Hour)
+	e := z.ActivePower.Energy(24 * time.Hour)
 	// 0.75 W * 86400 s = 64.8 kJ = 18 Wh/day: a power bank alone lasts
 	// only a few days, consistent with the paper's autonomy remarks.
 	if !almostEq(float64(e), 64800, 1e-6) {

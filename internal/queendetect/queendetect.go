@@ -235,12 +235,3 @@ func TrainCNN(corpus []audio.LabeledClip, sampleRate int, opts CNNOptions) (*CNN
 	res.EdgeEnergy, res.EdgeDuration = power.DefaultEdgeInference().Cost(res.FLOPs)
 	return res, nil
 }
-
-// Predict classifies one clip with the trained CNN service.
-func (r *CNNResult) Predict(clip []float64, sampleRate int) (bool, error) {
-	img, err := ImageFeatures(clip, sampleRate, r.Size)
-	if err != nil {
-		return false, err
-	}
-	return r.Network.PredictImage(cnn.ImageFromMatrix(img)) == LabelQueen, nil
-}

@@ -44,9 +44,6 @@ func (t *Table) MustAddRow(cells ...string) {
 	}
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) error {
 	if t.Title != "" {

@@ -18,8 +18,8 @@ func TestTableRender(t *testing.T) {
 			t.Errorf("table output missing %q:\n%s", want, out)
 		}
 	}
-	if tbl.NumRows() != 2 {
-		t.Fatalf("rows = %d", tbl.NumRows())
+	if len(tbl.rows) != 2 {
+		t.Fatalf("rows = %d", len(tbl.rows))
 	}
 }
 

@@ -47,14 +47,13 @@ func Seeded(seed uint64) Source {
 	return r
 }
 
-// Split derives an independent child stream. The parent advances by one
-// draw; the child is seeded from that draw. Handy for giving each
-// simulated client its own stream without correlating them.
-func (r *Source) Split() *Source { return New(r.Uint64()) }
+// split derives an independent child stream. The parent advances by one
+// draw; the child is seeded from that draw.
+func (r *Source) split() *Source { return New(r.Uint64()) }
 
 // StreamSeed derives the seed of an independent child stream from a
 // base seed and a stable stream identity (a sweep point's client
-// count, a replica index, a batch number). Unlike Split, the
+// count, a replica index, a batch number). Unlike split, the
 // derivation is a pure function of (seed, stream): no generator state
 // advances, so tasks fanned across a worker pool can each build their
 // own stream without observing scheduling order. The mixing is one

@@ -134,9 +134,19 @@ func TestShufflePreservesElements(t *testing.T) {
 	}
 }
 
+func TestRange(t *testing.T) {
+	r := New(37)
+	for i := 0; i < 10000; i++ {
+		v := r.Range(-2, 3)
+		if v < -2 || v >= 3 {
+			t.Fatalf("Range(-2,3) = %v out of bounds", v)
+		}
+	}
+}
+
 func TestSplitIndependence(t *testing.T) {
 	parent := New(31)
-	child := parent.Split()
+	child := parent.split()
 	// The child stream must not be a shifted copy of the parent stream.
 	same := 0
 	for i := 0; i < 1000; i++ {
@@ -146,16 +156,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 	if same > 0 {
 		t.Fatalf("split child repeated %d parent draws", same)
-	}
-}
-
-func TestRange(t *testing.T) {
-	r := New(37)
-	for i := 0; i < 10000; i++ {
-		v := r.Range(-2, 3)
-		if v < -2 || v >= 3 {
-			t.Fatalf("Range(-2,3) = %v out of bounds", v)
-		}
 	}
 }
 

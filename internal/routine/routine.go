@@ -18,7 +18,6 @@ import (
 
 	"beesim/internal/ledger"
 	"beesim/internal/netsim"
-	"beesim/internal/obs"
 	"beesim/internal/parallel"
 	"beesim/internal/power"
 	"beesim/internal/rng"
@@ -98,55 +97,19 @@ func (c Cycle) CloudEnergy() units.Joules {
 	return e
 }
 
-// TotalEnergy returns the system-wide energy of the cycle.
-func (c Cycle) TotalEnergy() units.Joules { return c.EdgeEnergy() + c.CloudEnergy() }
-
 // Duration returns the edge timeline length (always the full period).
 func (c Cycle) Duration() time.Duration {
 	_, d := power.Sum(c.EdgeTasks)
 	return d
 }
 
-// Trace emits the cycle's task timelines into tr starting at start: the
-// edge tasks on the routine track and the cloud tasks on the server
-// track, each span carrying its joules and mean watts. This is Table
-// I/II as a timeline — load the JSON in Perfetto to see the shutdown
-// split of the edge+cloud scenario. A nil tracer is a no-op.
-func (c Cycle) Trace(tr *obs.Tracer, start time.Time) {
-	c.TraceCtx(tr, start, nil)
-}
-
-// TraceCtx is Trace with span identity: each task span becomes a child
-// of sc (kinds "edge"/"cloud", indexed by task position) so the whole
-// wake-up joins one causal trace. A nil sc is exactly Trace.
-func (c Cycle) TraceCtx(tr *obs.Tracer, start time.Time, sc *obs.SpanContext) {
-	traceTasks(tr, "edge", obs.TidRoutine, start, c.EdgeTasks, sc)
-	traceTasks(tr, "cloud", obs.TidServer, start, c.CloudTasks, sc)
-}
-
-func traceTasks(tr *obs.Tracer, cat string, tid int, start time.Time, tasks []power.Task, sc *obs.SpanContext) {
-	at := start
-	for i, t := range tasks {
-		args := map[string]any{
-			"joules": float64(t.Energy),
-			"watts":  float64(t.Power()),
-		}
-		if sc != nil {
-			tr.SpanCtx(sc.Child(cat, uint64(i)), t.Name, cat, tid, at, t.Duration, args)
-		} else {
-			tr.Span(t.Name, cat, tid, at, t.Duration, args)
-		}
-		at = at.Add(t.Duration)
-	}
-}
-
 // RecordLedger appends the cycle's task timelines to the energy ledger
-// starting at start — the ledger twin of Trace. Edge tasks draw from
-// the hive's battery, so they are store-bound ("battery"); cloud tasks
-// run on grid power and enter as attribution-only entries, keeping them
-// out of the battery's conservation balance while still visible in
-// per-task breakdowns (Table II's right-hand column). It returns the
-// time after the edge timeline. A nil ledger records nothing.
+// starting at start. Edge tasks draw from the hive's battery, so they
+// are store-bound ("battery"); cloud tasks run on grid power and enter
+// as attribution-only entries, keeping them out of the battery's
+// conservation balance while still visible in per-task breakdowns
+// (Table II's right-hand column). It returns the time after the edge
+// timeline. A nil ledger records nothing.
 func (c Cycle) RecordLedger(lg *ledger.Ledger, hive string, start time.Time) time.Time {
 	end := power.RecordTasks(lg, start, hive, "edge", "pi3b", "battery", c.EdgeTasks)
 	power.RecordTasks(lg, start, hive, "cloud", "server", "", c.CloudTasks)
@@ -250,48 +213,6 @@ type CampaignStats struct {
 	MeanEnergy   units.Joules
 }
 
-// SimulateCampaign replays n data-collection routines (boot, collect,
-// upload over the jittery link, shutdown) and summarizes them the way
-// Section IV does. The paper's campaign: 319 routines, mean 1 m 29 s,
-// sigma 3.5 s, mean power 2.14 W, sigma 0.009 W, 190.1 J per routine.
-func SimulateCampaign(pi power.Pi3B, link *netsim.Link, n int) (CampaignStats, error) {
-	if n <= 0 {
-		return CampaignStats{}, errors.New("routine: campaign needs n > 0")
-	}
-	if link == nil {
-		return CampaignStats{}, errors.New("routine: nil link")
-	}
-	routine := pi.Routine()
-	send := pi.SendAudio()
-	// Fixed (non-network) portion of the routine: everything but the
-	// nominal 15 s transfer. Only the transfer length varies between
-	// routines; the transfer runs at the send-audio power. This is why
-	// the paper sees large duration spread (sigma 3.5 s) but nearly
-	// constant mean power (sigma 0.009 W): the send power (2.49 W) is
-	// close to the routine mean (2.14 W), so stretching the transfer
-	// barely moves the average.
-	fixedDur := routine.Duration - send.Duration
-	fixedEnergy := routine.Energy - send.Energy
-
-	var durs, powers, energies stats.Online
-	for i := 0; i < n; i++ {
-		tr := link.Send(netsim.RoutinePayload())
-		d := fixedDur + tr.Duration
-		e := float64(fixedEnergy) + float64(send.Power().Energy(tr.Duration))
-		durs.Add(d.Seconds())
-		powers.Add(e / d.Seconds())
-		energies.Add(e)
-	}
-	return CampaignStats{
-		Routines:     n,
-		MeanDuration: time.Duration(durs.Mean() * float64(time.Second)),
-		SDDuration:   time.Duration(durs.StdDev() * float64(time.Second)),
-		MeanPower:    units.Watts(powers.Mean()),
-		SDPower:      units.Watts(powers.StdDev()),
-		MeanEnergy:   units.Joules(energies.Mean()),
-	}, nil
-}
-
 // campaignBatch is the fixed number of routines per parallel campaign
 // batch. It is part of the determinism contract, not a tuning knob:
 // each batch owns an rng stream keyed by its batch index, so changing
@@ -305,18 +226,25 @@ type campaignSample struct {
 	joules  float64
 }
 
-// SimulateCampaignParallel replays the Section-IV campaign like
-// SimulateCampaign but fans fixed-size batches of routines across
-// workers. Every batch builds its own link whose seed is the
-// rng.StreamSeed of (cfg.Seed, batch index), so the sampled transfers
-// are a pure function of the configuration — byte-identical for every
-// worker count, including the workers=1 serial path. The Welford
-// accumulation happens in a serial pass over the batch-ordered samples
-// because its float sums are order-sensitive.
+// SimulateCampaignParallel replays n data-collection routines (boot,
+// collect, upload over the jittery link, shutdown) and summarizes them
+// the way Section IV does. The paper's campaign: 319 routines, mean
+// 1 m 29 s, sigma 3.5 s, mean power 2.14 W, sigma 0.009 W, 190.1 J per
+// routine.
 //
-// Note the sampling scheme differs from SimulateCampaign, which draws
-// all n routines from one sequential stream; the two agree in
-// distribution but not draw-for-draw.
+// Only the transfer length varies between routines, and the transfer
+// runs at the send-audio power. This is why the paper sees a large
+// duration spread but nearly constant mean power: the send power
+// (2.49 W) is close to the routine mean (2.14 W), so stretching the
+// transfer barely moves the average.
+//
+// Fixed-size batches of routines fan out across workers. Every batch
+// builds its own link whose seed is the rng.StreamSeed of (cfg.Seed,
+// batch index), so the sampled transfers are a pure function of the
+// configuration — byte-identical for every worker count, including the
+// workers=1 serial path. The Welford accumulation happens in a serial
+// pass over the batch-ordered samples because its float sums are
+// order-sensitive.
 func SimulateCampaignParallel(pi power.Pi3B, cfg netsim.Config, n, workers int) (CampaignStats, error) {
 	if n <= 0 {
 		return CampaignStats{}, errors.New("routine: campaign needs n > 0")

@@ -237,11 +237,7 @@ func TestStringers(t *testing.T) {
 
 // TestCampaignMatchesSectionIV replays the 319-routine campaign.
 func TestCampaignMatchesSectionIV(t *testing.T) {
-	link, err := netsim.NewLink(netsim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := SimulateCampaign(power.DefaultPi3B(), link, 319)
+	st, err := SimulateCampaignParallel(power.DefaultPi3B(), netsim.DefaultConfig(), 319, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,12 +265,8 @@ func TestCampaignMatchesSectionIV(t *testing.T) {
 }
 
 func TestCampaignErrors(t *testing.T) {
-	link, _ := netsim.NewLink(netsim.DefaultConfig())
-	if _, err := SimulateCampaign(power.DefaultPi3B(), link, 0); err == nil {
+	if _, err := SimulateCampaignParallel(power.DefaultPi3B(), netsim.DefaultConfig(), 0, 1); err == nil {
 		t.Error("zero routines accepted")
-	}
-	if _, err := SimulateCampaign(power.DefaultPi3B(), nil, 10); err == nil {
-		t.Error("nil link accepted")
 	}
 }
 

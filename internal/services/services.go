@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"beesim/internal/core"
-	"beesim/internal/ledger"
 	"beesim/internal/netsim"
 	"beesim/internal/power"
 	"beesim/internal/routine"
@@ -237,11 +236,6 @@ type PlacementPlan struct {
 	// CloudShare is the per-client server energy under the plan, for the
 	// given fleet size.
 	CloudShare units.Joules
-	// PerService is each service's incremental edge energy: the
-	// inference cost when edge-placed, the upload cost when
-	// cloud-placed. The bundle's shared overhead (collect, shutdown,
-	// result send, sleep) is EdgeEnergy minus the PerService sum.
-	PerService map[Kind]units.Joules
 }
 
 // PlanBundle decides, service by service, where a bundle should run for
@@ -251,14 +245,6 @@ type PlacementPlan struct {
 // once, and a single sleep fills the remainder — the multi-service
 // generalization of the paper's single-service comparison.
 func PlanBundle(b Bundle, n int, spec core.ServerSpec, l core.Losses) (PlacementPlan, error) {
-	return planBundle(b, n, spec, l, nil)
-}
-
-// planBundle is the shared planner: with dl nil every upload succeeds
-// first try (the paper's assumption); with dl set each cloud-placement
-// candidate carries the degraded link's expected retry tax, both when
-// choosing the placement and when pricing the chosen plan.
-func planBundle(b Bundle, n int, spec core.ServerSpec, l core.Losses, dl *DegradedLink) (PlacementPlan, error) {
 	if err := b.Validate(); err != nil {
 		return PlacementPlan{}, err
 	}
@@ -267,9 +253,8 @@ func planBundle(b Bundle, n int, spec core.ServerSpec, l core.Losses, dl *Degrad
 	}
 	pi := power.DefaultPi3B()
 	plan := PlacementPlan{
-		Period:     b.Period,
-		Decisions:  map[Kind]routine.Placement{},
-		PerService: map[Kind]units.Joules{},
+		Period:    b.Period,
+		Decisions: map[Kind]routine.Placement{},
 	}
 
 	collect := pi.WakeAndCollect()
@@ -290,16 +275,6 @@ func planBundle(b Bundle, n int, spec core.ServerSpec, l core.Losses, dl *Degrad
 		if err != nil {
 			return PlacementPlan{}, err
 		}
-		var tax units.Joules
-		if dl != nil {
-			dur, _, err := p.TransferCost()
-			if err != nil {
-				return PlacementPlan{}, err
-			}
-			fallback, _ := p.EdgeCost()
-			tax = dl.Tax(sendPower.Energy(dur), fallback)
-			svc.EdgeCloudCycle += tax //beelint:allow accumfloat svc is loop-local, one addition per iteration, never carried across iterations
-		}
 		rec, err := core.Recommend(n, spec, svc, l)
 		if err != nil {
 			return PlacementPlan{}, err
@@ -310,16 +285,13 @@ func planBundle(b Bundle, n int, spec core.ServerSpec, l core.Losses, dl *Degrad
 			if err != nil {
 				return PlacementPlan{}, err
 			}
-			upload := sendPower.Energy(dur) + tax
-			activeEnergy += upload //beelint:allow accumfloat loop bounded by the service catalog (4 kinds); error far below audit tolerance
+			activeEnergy += sendPower.Energy(dur) //beelint:allow accumfloat loop bounded by the service catalog (4 kinds); error far below audit tolerance
 			activeDur += dur
-			plan.PerService[k] = upload
 			plan.CloudShare += rec.EdgeCloudPerClient - svc.EdgeCloudCycle //beelint:allow accumfloat loop bounded by the service catalog (4 kinds)
 		} else {
 			e, dur := p.EdgeCost()
 			activeEnergy += e //beelint:allow accumfloat loop bounded by the service catalog (4 kinds); error far below audit tolerance
 			activeDur += dur
-			plan.PerService[k] = e
 			anyEdge = true
 		}
 	}
@@ -338,49 +310,4 @@ func planBundle(b Bundle, n int, spec core.ServerSpec, l core.Losses, dl *Degrad
 // TotalPerClient returns the plan's combined per-client energy.
 func (p PlacementPlan) TotalPerClient() units.Joules {
 	return p.EdgeEnergy + p.CloudShare
-}
-
-// SharedEnergy returns the edge energy not attributable to any single
-// service: data collection, shutdown, result send and sleep.
-func (p PlacementPlan) SharedEnergy() units.Joules {
-	shared := p.EdgeEnergy
-	for _, e := range p.PerService {
-		shared -= e
-	}
-	return shared
-}
-
-// RecordLedger appends the plan's per-cycle energy breakdown to the
-// ledger at virtual time at: one consume entry per service (its
-// incremental edge cost, labeled with the placement decision), one for
-// the shared cycle overhead, and one for the per-client cloud share.
-// All entries are attribution-only — a plan is a projection, not a
-// simulated battery flow. A nil ledger records nothing.
-func (p PlacementPlan) RecordLedger(lg *ledger.Ledger, hive string, at time.Time) {
-	if lg == nil {
-		return
-	}
-	for _, k := range AllKinds() {
-		e, ok := p.PerService[k]
-		if !ok {
-			continue
-		}
-		lg.Append(ledger.Entry{
-			T: at, Hive: hive, Device: "edge", Component: "pi3b",
-			Task: fmt.Sprintf("%v (%v)", k, p.Decisions[k]),
-			Dir:  ledger.Consume, Joules: float64(e),
-		})
-	}
-	lg.Append(ledger.Entry{
-		T: at, Hive: hive, Device: "edge", Component: "pi3b",
-		Task: "shared cycle overhead", Dir: ledger.Consume,
-		Joules: float64(p.SharedEnergy()), Seconds: p.Period.Seconds(),
-	})
-	if p.CloudShare > 0 {
-		lg.Append(ledger.Entry{
-			T: at, Hive: hive, Device: "cloud", Component: "server",
-			Task: "per-client share", Dir: ledger.Consume,
-			Joules: float64(p.CloudShare), Seconds: p.Period.Seconds(),
-		})
-	}
 }

@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"beesim/internal/core"
-	"beesim/internal/ledger"
 	"beesim/internal/power"
 	"beesim/internal/routine"
-	"beesim/internal/units"
 )
 
 func powerPi() power.Pi3B { return power.DefaultPi3B() }
@@ -228,42 +226,4 @@ func TestPlanBundleErrors(t *testing.T) {
 	if _, err := PlanBundle(bad, 10, core.DefaultServer(10), core.Losses{}); err == nil {
 		t.Error("invalid bundle accepted")
 	}
-}
-
-func TestPlanBundleRecordLedgerBalancesBreakdown(t *testing.T) {
-	b := Bundle{Kinds: AllKinds(), Period: 30 * time.Minute}
-	plan, err := PlanBundle(b, 100, core.DefaultServer(35), core.Losses{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.PerService) != len(b.Kinds) {
-		t.Fatalf("PerService has %d entries, want %d", len(plan.PerService), len(b.Kinds))
-	}
-	// Per-service costs plus shared overhead reassemble the edge total.
-	var sum units.Joules
-	for _, e := range plan.PerService {
-		if e <= 0 {
-			t.Fatalf("non-positive per-service energy: %+v", plan.PerService)
-		}
-		sum += e
-	}
-	if got := sum + plan.SharedEnergy(); math.Abs(float64(got-plan.EdgeEnergy)) > 1e-9 {
-		t.Fatalf("breakdown sums to %v, EdgeEnergy %v", got, plan.EdgeEnergy)
-	}
-
-	lg := ledger.New()
-	at := time.Date(2023, 4, 10, 6, 0, 0, 0, time.UTC)
-	plan.RecordLedger(lg, "cachan-1", at)
-	var total float64
-	for _, e := range lg.Entries() {
-		if e.Store != "" {
-			t.Fatalf("plan projection bound to a store: %+v", e)
-		}
-		total += e.Joules
-	}
-	want := float64(plan.TotalPerClient())
-	if math.Abs(total-want) > 1e-9 {
-		t.Fatalf("ledger total %v J, plan per-client %v J", total, want)
-	}
-	plan.RecordLedger(nil, "h", at) // nil-safe
 }

@@ -157,11 +157,6 @@ func (m *Meter) Record(t time.Time, p units.Watts, d time.Duration) {
 	})
 }
 
-// Daylight reports whether the sun is above the horizon at the location.
-func Daylight(loc Location, t time.Time) bool {
-	return Elevation(loc, t) > 0
-}
-
 func clamp(x, lo, hi float64) float64 {
 	if x < lo {
 		return lo

@@ -124,10 +124,10 @@ func TestPanelClampsAtRated(t *testing.T) {
 }
 
 func TestDaylight(t *testing.T) {
-	if !Daylight(Cachan, noon) {
+	if Elevation(Cachan, noon) <= 0 {
 		t.Fatal("noon reported as night")
 	}
-	if Daylight(Cachan, midnight) {
+	if Elevation(Cachan, midnight) > 0 {
 		t.Fatal("midnight reported as day")
 	}
 }
@@ -137,7 +137,7 @@ func TestDaylightHoursSpring(t *testing.T) {
 	hours := 0
 	for h := 0; h < 24; h++ {
 		tt := time.Date(2023, 4, 15, h, 30, 0, 0, time.UTC)
-		if Daylight(Cachan, tt) {
+		if Elevation(Cachan, tt) > 0 {
 			hours++
 		}
 	}

@@ -1,6 +1,6 @@
 // Package stats provides the descriptive statistics used to summarize
-// beesim's measurement campaigns: online moments (Welford), percentiles,
-// histograms, least-squares fits and series crossover detection.
+// beesim's measurement campaigns: online moments (Welford), compensated
+// summation and series crossover detection.
 //
 // Section IV of the paper reports the 319-routine campaign through exactly
 // these summaries (mean routine length 1 m 29 s, sigma 3.5 s; mean power
@@ -11,7 +11,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // Online accumulates count, mean and variance in one pass using Welford's
@@ -20,30 +19,15 @@ type Online struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds one observation into the accumulator.
 func (o *Online) Add(x float64) {
 	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
 	delta := x - o.mean
 	o.mean += delta / float64(o.n)
 	o.m2 += delta * (x - o.mean)
 }
-
-// N returns the number of observations.
-func (o *Online) N() int { return o.n }
 
 // Mean returns the sample mean, or 0 with no observations.
 func (o *Online) Mean() float64 { return o.mean }
@@ -59,17 +43,8 @@ func (o *Online) Var() float64 {
 // StdDev returns the unbiased sample standard deviation.
 func (o *Online) StdDev() float64 { return math.Sqrt(o.Var()) }
 
-// Min returns the smallest observation, or 0 with no observations.
-func (o *Online) Min() float64 { return o.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (o *Online) Max() float64 { return o.max }
-
-// Sum returns n * mean, the total of all observations.
-func (o *Online) Sum() float64 { return float64(o.n) * o.mean }
-
-// Merge combines another accumulator into o (parallel Welford merge).
-func (o *Online) Merge(p *Online) {
+// merge combines another accumulator into o (parallel Welford merge).
+func (o *Online) merge(p *Online) {
 	if p.n == 0 {
 		return
 	}
@@ -79,19 +54,13 @@ func (o *Online) Merge(p *Online) {
 	}
 	n := o.n + p.n
 	delta := p.mean - o.mean
-	mean := o.mean + delta*float64(p.n)/float64(n)
+	m := o.mean + delta*float64(p.n)/float64(n)
 	m2 := o.m2 + p.m2 + delta*delta*float64(o.n)*float64(p.n)/float64(n)
-	if p.min < o.min {
-		o.min = p.min
-	}
-	if p.max > o.max {
-		o.max = p.max
-	}
-	o.n, o.mean, o.m2 = n, mean, m2
+	o.n, o.mean, o.m2 = n, m, m2
 }
 
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
+// mean returns the arithmetic mean of xs, or 0 for an empty slice.
+func mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -102,168 +71,13 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the unbiased standard deviation of xs.
-func StdDev(xs []float64) float64 {
+// stdDev returns the unbiased standard deviation of xs.
+func stdDev(xs []float64) float64 {
 	var o Online
 	for _, x := range xs {
 		o.Add(x)
 	}
 	return o.StdDev()
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) of xs using linear
-// interpolation between closest ranks. It returns an error for empty input
-// or out-of-range p.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, errors.New("stats: percentile of empty slice")
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of [0,100]")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Histogram is a fixed-width binning of observations over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	under  int
-	over   int
-}
-
-// NewHistogram creates a histogram with n equal bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}
-}
-
-// Add places one observation. Values outside [Lo, Hi) are tallied in
-// separate under/overflow counters rather than clamped.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.under++
-	case x >= h.Hi:
-		h.over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i == len(h.Counts) { // guard against FP rounding at the top edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Outliers returns the underflow and overflow counts.
-func (h *Histogram) Outliers() (under, over int) { return h.under, h.over }
-
-// LinearFit returns the least-squares line y = a + b*x through the points,
-// plus the coefficient of determination r2. It returns an error when fewer
-// than two points or a degenerate x spread make the fit ill-defined.
-func LinearFit(xs, ys []float64) (a, b, r2 float64, err error) {
-	if len(xs) != len(ys) {
-		return 0, 0, 0, errors.New("stats: mismatched fit inputs")
-	}
-	if len(xs) < 2 {
-		return 0, 0, 0, errors.New("stats: fit needs at least two points")
-	}
-	n := float64(len(xs))
-	var sx, sy, sxx, sxy, syy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-		syy += ys[i] * ys[i]
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0, 0, 0, errors.New("stats: degenerate x values")
-	}
-	b = (n*sxy - sx*sy) / den
-	a = (sy - b*sx) / n
-	ssTot := syy - sy*sy/n
-	if ssTot == 0 {
-		return a, b, 1, nil
-	}
-	var ssRes float64
-	for i := range xs {
-		r := ys[i] - (a + b*xs[i])
-		ssRes += r * r
-	}
-	r2 = 1 - ssRes/ssTot
-	return a, b, r2, nil
-}
-
-// PolyFit2 fits y = c0 + c1*x + c2*x^2 by solving the 3x3 normal equations.
-// Figure 5's claim that inference energy grows quadratically with pixel
-// count is verified with this fit.
-func PolyFit2(xs, ys []float64) (c [3]float64, err error) {
-	if len(xs) != len(ys) || len(xs) < 3 {
-		return c, errors.New("stats: quadratic fit needs >= 3 matched points")
-	}
-	// Normal equations: (X^T X) c = X^T y with X rows [1 x x^2].
-	var m [3][4]float64
-	for i := range xs {
-		x := xs[i]
-		row := [3]float64{1, x, x * x}
-		for r := 0; r < 3; r++ {
-			for cidx := 0; cidx < 3; cidx++ {
-				m[r][cidx] += row[r] * row[cidx]
-			}
-			m[r][3] += row[r] * ys[i]
-		}
-	}
-	// Gaussian elimination with partial pivoting.
-	for col := 0; col < 3; col++ {
-		piv := col
-		for r := col + 1; r < 3; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[piv][col]) {
-				piv = r
-			}
-		}
-		m[col], m[piv] = m[piv], m[col]
-		if math.Abs(m[col][col]) < 1e-12 {
-			return c, errors.New("stats: singular quadratic fit")
-		}
-		for r := 0; r < 3; r++ {
-			if r == col {
-				continue
-			}
-			f := m[r][col] / m[col][col]
-			for k := col; k < 4; k++ {
-				m[r][k] -= f * m[col][k]
-			}
-		}
-	}
-	for i := 0; i < 3; i++ {
-		c[i] = m[i][3] / m[i][i]
-	}
-	return c, nil
 }
 
 // Crossover is a point where series a overtakes series b (or vice versa).
@@ -295,26 +109,4 @@ func Crossovers(xs, a, b []float64) ([]Crossover, error) {
 		}
 	}
 	return out, nil
-}
-
-// ArgMax returns the index of the largest element, or -1 for empty input.
-func ArgMax(xs []float64) int {
-	best := -1
-	for i, x := range xs {
-		if best == -1 || x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the smallest element, or -1 for empty input.
-func ArgMin(xs []float64) int {
-	best := -1
-	for i, x := range xs {
-		if best == -1 || x < xs[best] {
-			best = i
-		}
-	}
-	return best
 }

@@ -16,23 +16,24 @@ func TestOnlineAgainstDirect(t *testing.T) {
 	for _, x := range xs {
 		o.Add(x)
 	}
-	if o.N() != len(xs) {
-		t.Fatalf("N = %d, want %d", o.N(), len(xs))
+	if o.n != len(xs) {
+		t.Fatalf("n = %d, want %d", o.n, len(xs))
 	}
-	if !almostEq(o.Mean(), Mean(xs), 1e-12) {
-		t.Errorf("mean = %v, want %v", o.Mean(), Mean(xs))
+	var m float64
+	for _, x := range xs {
+		m += x
+	}
+	m /= float64(len(xs))
+	if !almostEq(o.Mean(), m, 1e-12) {
+		t.Errorf("mean = %v, want %v", o.Mean(), m)
 	}
 	direct := 0.0
-	m := Mean(xs)
 	for _, x := range xs {
 		direct += (x - m) * (x - m)
 	}
 	direct /= float64(len(xs) - 1)
 	if !almostEq(o.Var(), direct, 1e-12) {
 		t.Errorf("var = %v, want %v", o.Var(), direct)
-	}
-	if o.Min() != 2.11 || o.Max() != 2.16 {
-		t.Errorf("min/max = %v/%v, want 2.11/2.16", o.Min(), o.Max())
 	}
 }
 
@@ -45,147 +46,8 @@ func TestOnlineEmptyAndSingle(t *testing.T) {
 	if o.Var() != 0 {
 		t.Fatalf("single observation variance = %v, want 0", o.Var())
 	}
-	if o.Mean() != 5 || o.Min() != 5 || o.Max() != 5 {
+	if o.Mean() != 5 {
 		t.Fatal("single observation summary wrong")
-	}
-}
-
-func TestOnlineMergeMatchesSequential(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw) + 2
-		r := rng.New(seed)
-		var whole, left, right Online
-		for i := 0; i < n; i++ {
-			x := r.Gaussian(10, 3)
-			whole.Add(x)
-			if i < n/2 {
-				left.Add(x)
-			} else {
-				right.Add(x)
-			}
-		}
-		left.Merge(&right)
-		return left.N() == whole.N() &&
-			almostEq(left.Mean(), whole.Mean(), 1e-9) &&
-			almostEq(left.Var(), whole.Var(), 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	for _, c := range []struct{ p, want float64 }{
-		{0, 1}, {50, 5.5}, {100, 10}, {25, 3.25},
-	} {
-		got, err := Percentile(xs, c.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEq(got, c.want, 1e-12) {
-			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestPercentileErrors(t *testing.T) {
-	if _, err := Percentile(nil, 50); err == nil {
-		t.Error("empty percentile did not error")
-	}
-	if _, err := Percentile([]float64{1}, -1); err == nil {
-		t.Error("negative percentile did not error")
-	}
-	if _, err := Percentile([]float64{1}, 101); err == nil {
-		t.Error("percentile > 100 did not error")
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if _, err := Percentile(xs, 50); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Percentile mutated its input")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.999, 10, 42} {
-		h.Add(x)
-	}
-	under, over := h.Outliers()
-	if under != 1 || over != 2 {
-		t.Fatalf("outliers = %d/%d, want 1/2", under, over)
-	}
-	if h.Total() != 5 {
-		t.Fatalf("total = %d, want 5", h.Total())
-	}
-	want := []int{2, 1, 1, 0, 1}
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Errorf("bin %d = %d, want %d", i, c, want[i])
-		}
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHistogram(1,0,3) did not panic")
-		}
-	}()
-	NewHistogram(1, 0, 3)
-}
-
-func TestLinearFitExact(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{3, 5, 7, 9} // y = 1 + 2x
-	a, b, r2, err := LinearFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(a, 1, 1e-9) || !almostEq(b, 2, 1e-9) || !almostEq(r2, 1, 1e-9) {
-		t.Fatalf("fit = (%v, %v, r2=%v), want (1, 2, 1)", a, b, r2)
-	}
-}
-
-func TestLinearFitErrors(t *testing.T) {
-	if _, _, _, err := LinearFit([]float64{1}, []float64{1}); err == nil {
-		t.Error("one-point fit did not error")
-	}
-	if _, _, _, err := LinearFit([]float64{1, 1}, []float64{1, 2}); err == nil {
-		t.Error("degenerate x fit did not error")
-	}
-	if _, _, _, err := LinearFit([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("mismatched lengths did not error")
-	}
-}
-
-func TestPolyFit2RecoversQuadratic(t *testing.T) {
-	// The Fig-5 energy law: E = c0 + c2 * px^2.
-	xs := []float64{20, 40, 60, 80, 100, 120, 140, 160}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 5 + 0.003*x*x
-	}
-	c, err := PolyFit2(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(c[0], 5, 1e-6) || !almostEq(c[1], 0, 1e-6) || !almostEq(c[2], 0.003, 1e-9) {
-		t.Fatalf("coefficients = %v, want [5 0 0.003]", c)
-	}
-}
-
-func TestPolyFit2Errors(t *testing.T) {
-	if _, err := PolyFit2([]float64{1, 2}, []float64{1, 2}); err == nil {
-		t.Error("two-point quadratic fit did not error")
-	}
-	if _, err := PolyFit2([]float64{1, 1, 1}, []float64{1, 1, 1}); err == nil {
-		t.Error("singular quadratic fit did not error")
 	}
 }
 
@@ -227,21 +89,32 @@ func TestCrossoversErrors(t *testing.T) {
 	}
 }
 
-func TestArgMaxMin(t *testing.T) {
-	xs := []float64{3, 9, 1, 9, -4}
-	if i := ArgMax(xs); i != 1 {
-		t.Errorf("ArgMax = %d, want 1 (first max)", i)
+func TestOnlineMergeMatchesSequential(t *testing.T) {
+	f := func(seed uint64, nRaw uint8) bool {
+		n := int(nRaw) + 2
+		r := rng.New(seed)
+		var whole, left, right Online
+		for i := 0; i < n; i++ {
+			x := r.Gaussian(10, 3)
+			whole.Add(x)
+			if i < n/2 {
+				left.Add(x)
+			} else {
+				right.Add(x)
+			}
+		}
+		left.merge(&right)
+		return left.n == whole.n &&
+			almostEq(left.Mean(), whole.Mean(), 1e-9) &&
+			almostEq(left.Var(), whole.Var(), 1e-9)
 	}
-	if i := ArgMin(xs); i != 4 {
-		t.Errorf("ArgMin = %d, want 4", i)
-	}
-	if ArgMax(nil) != -1 || ArgMin(nil) != -1 {
-		t.Error("empty ArgMax/ArgMin must be -1")
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestMeanStdDevEmpty(t *testing.T) {
-	if Mean(nil) != 0 || StdDev(nil) != 0 {
-		t.Fatal("empty Mean/StdDev must be 0")
+	if mean(nil) != 0 || stdDev(nil) != 0 {
+		t.Fatal("empty mean/stdDev must be 0")
 	}
 }

@@ -16,9 +16,6 @@ import (
 	"time"
 
 	"beesim/internal/dsp"
-	"beesim/internal/ledger"
-	"beesim/internal/obs"
-	"beesim/internal/parallel"
 )
 
 // Piping parameters: queen toots center near 400 Hz.
@@ -100,16 +97,6 @@ func PipingScore(clip []float64, sampleRate int) (float64, error) {
 	return score, nil
 }
 
-// ScoreClips computes the piping score of every clip, fanning the
-// per-clip analyses across workers (0 = process default, 1 = serial).
-// Scores come back in clip order and are byte-identical for every
-// worker count — PipingScore is pure.
-func ScoreClips(clips [][]float64, sampleRate, workers int) ([]float64, error) {
-	return parallel.Map(workers, len(clips), func(i int) (float64, error) {
-		return PipingScore(clips[i], sampleRate)
-	})
-}
-
 // Observation is one cycle's inputs to the predictor.
 type Observation struct {
 	Time time.Time
@@ -147,46 +134,6 @@ type Predictor struct {
 	risk float64
 	last time.Time
 	seen bool
-
-	// Observability probes; all nil-safe no-ops until Instrument.
-	mObs    *obs.Counter
-	mAlarms *obs.Counter
-	gRisk   *obs.Gauge
-	hPiping *obs.Histogram
-
-	// Energy-ledger probe; nil-safe no-op until AttachLedger.
-	lg     *ledger.Ledger
-	lgHive string
-	lgObsJ float64
-}
-
-// Metric names emitted by an instrumented predictor.
-const (
-	MetricObservations = "swarm_observations_total"
-	MetricAlarms       = "swarm_alarms_total"
-	MetricRisk         = "swarm_risk"
-	MetricPipingScore  = "swarm_piping_score"
-)
-
-// Instrument attaches metrics probes: observation and alarm-transition
-// counters, the live risk gauge, and a piping-score histogram.
-func (p *Predictor) Instrument(m *obs.Registry) {
-	p.mObs = m.Counter(MetricObservations)
-	p.mAlarms = m.Counter(MetricAlarms)
-	p.gRisk = m.Gauge(MetricRisk)
-	p.hPiping = m.Histogram(MetricPipingScore)
-}
-
-// AttachLedger wires the energy ledger: each Observe appends the
-// swarm-prediction service's per-observation edge energy (joulesPerObs,
-// from the service catalog's edge cost) as an attribution-only consume
-// entry at the observation's own time. The entries carry no store —
-// the inference energy is already inside the routine's task envelope;
-// this overlay only attributes it to the service.
-func (p *Predictor) AttachLedger(lg *ledger.Ledger, hive string, joulesPerObs float64) {
-	p.lg = lg
-	p.lgHive = hive
-	p.lgObsJ = joulesPerObs
 }
 
 // NewPredictor creates a predictor.
@@ -202,7 +149,6 @@ func NewPredictor(cfg PredictorConfig) (*Predictor, error) {
 
 // Observe folds one cycle in and returns the updated risk.
 func (p *Predictor) Observe(ob Observation) float64 {
-	wasAlarm := p.Alarm()
 	if p.seen {
 		if dt := ob.Time.Sub(p.last); dt > 0 {
 			decay := math.Exp(-math.Ln2 * dt.Hours() / p.cfg.HalfLife.Hours())
@@ -220,24 +166,8 @@ func (p *Predictor) Observe(ob Observation) float64 {
 	// Evidence moves risk toward 1 proportionally to its strength.
 	gain := clamp(evidence*0.25, 0, 0.6)
 	p.risk += (1 - p.risk) * gain
-
-	p.mObs.Inc()
-	p.hPiping.Observe(ob.Piping)
-	p.gRisk.Set(p.risk)
-	if !wasAlarm && p.Alarm() {
-		p.mAlarms.Inc()
-	}
-	if p.lg != nil && p.lgObsJ > 0 {
-		p.lg.Append(ledger.Entry{
-			T: ob.Time, Hive: p.lgHive, Device: "edge", Component: "pi3b",
-			Task: "swarm prediction", Dir: ledger.Consume, Joules: p.lgObsJ,
-		})
-	}
 	return p.risk
 }
-
-// Risk returns the current swarm-risk estimate in [0, 1].
-func (p *Predictor) Risk() float64 { return p.risk }
 
 // Alarm reports whether the risk exceeds the configured threshold.
 func (p *Predictor) Alarm() bool { return p.risk >= p.cfg.AlarmThreshold }

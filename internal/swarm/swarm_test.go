@@ -6,7 +6,6 @@ import (
 
 	"beesim/internal/audio"
 	"beesim/internal/hive"
-	"beesim/internal/ledger"
 )
 
 func clips(t *testing.T, state hive.QueenState, n int, seed uint64) [][]float64 {
@@ -86,18 +85,18 @@ func TestPredictorRisesWithPiping(t *testing.T) {
 		p.Observe(Observation{Time: t0.Add(time.Duration(i) * time.Hour), Piping: 0.05, Activity: 0.7})
 	}
 	if p.Alarm() {
-		t.Fatalf("alarm on a quiet colony (risk %v)", p.Risk())
+		t.Fatalf("alarm on a quiet colony (risk %v)", p.risk)
 	}
-	quiet := p.Risk()
+	quiet := p.risk
 	// Then sustained piping with depressed activity.
 	for i := 20; i < 40; i++ {
 		p.Observe(Observation{Time: t0.Add(time.Duration(i) * time.Hour), Piping: 0.8, Activity: 0.2})
 	}
-	if p.Risk() <= quiet {
+	if p.risk <= quiet {
 		t.Fatal("risk did not rise under piping evidence")
 	}
 	if !p.Alarm() {
-		t.Fatalf("no alarm after sustained piping (risk %v)", p.Risk())
+		t.Fatalf("no alarm after sustained piping (risk %v)", p.risk)
 	}
 }
 
@@ -110,14 +109,14 @@ func TestPredictorDecays(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		p.Observe(Observation{Time: t0.Add(time.Duration(i) * time.Hour), Piping: 0.8, Activity: 0.2})
 	}
-	peak := p.Risk()
+	peak := p.risk
 	// A quiet week decays the risk well below the alarm threshold.
 	for i := 0; i < 14; i++ {
 		p.Observe(Observation{
 			Time: t0.Add(30*time.Hour + time.Duration(i)*12*time.Hour), Piping: 0.02, Activity: 0.8})
 	}
-	if p.Risk() >= peak/2 {
-		t.Fatalf("risk %v did not decay from %v", p.Risk(), peak)
+	if p.risk >= peak/2 {
+		t.Fatalf("risk %v did not decay from %v", p.risk, peak)
 	}
 }
 
@@ -149,33 +148,7 @@ func TestEndToEndPipingPipeline(t *testing.T) {
 		}
 		p.Observe(Observation{Time: t0.Add(time.Duration(i) * time.Hour), Piping: score, Activity: 0.3})
 	}
-	if p.Risk() < 0.2 {
-		t.Fatalf("risk after 8 piping clips = %v, want clearly elevated", p.Risk())
-	}
-}
-
-func TestPredictorLedgerAttributesObservations(t *testing.T) {
-	p, err := NewPredictor(DefaultPredictor())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg := ledger.New()
-	p.AttachLedger(lg, "lyon-2", 54.8)
-	at := time.Date(2023, 4, 10, 6, 0, 0, 0, time.UTC)
-	for i := 0; i < 3; i++ {
-		p.Observe(Observation{Time: at.Add(time.Duration(i) * time.Hour), Piping: 0.2, Activity: 0.5})
-	}
-	entries := lg.Entries()
-	if len(entries) != 3 {
-		t.Fatalf("entries = %d, want 3", len(entries))
-	}
-	for i, e := range entries {
-		if e.Hive != "lyon-2" || e.Task != "swarm prediction" ||
-			e.Joules != 54.8 || e.Store != "" {
-			t.Fatalf("entry %d = %+v", i, e)
-		}
-		if e.T != at.Add(time.Duration(i)*time.Hour) {
-			t.Fatalf("entry %d at %v, keyed to wall clock?", i, e.T)
-		}
+	if p.risk < 0.2 {
+		t.Fatalf("risk after 8 piping clips = %v, want clearly elevated", p.risk)
 	}
 }

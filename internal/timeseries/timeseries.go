@@ -3,10 +3,9 @@
 // humidity, battery state of charge, and the weather trace.
 //
 // Figure 2 of the paper plots a full week of such series at once; this
-// package provides the container plus the resampling/windowing operations
-// needed to turn a high-rate simulation trace into the figure's
-// per-interval summaries, and a CSV codec so every figure can be exported
-// for external plotting.
+// package provides the container, the gap detection that exposes the
+// figure's night-time outages, and a CSV writer so every figure can be
+// exported for external plotting.
 package timeseries
 
 import (
@@ -60,9 +59,6 @@ func (s *Series) MustAppend(t time.Time, v float64) {
 // Len returns the number of observations.
 func (s *Series) Len() int { return len(s.points) }
 
-// At returns the i-th observation.
-func (s *Series) At(i int) Point { return s.points[i] }
-
 // Points returns the underlying observations. The slice must not be
 // mutated by the caller.
 func (s *Series) Points() []Point { return s.points }
@@ -73,15 +69,6 @@ func (s *Series) Span() (start, end time.Time) {
 		return
 	}
 	return s.points[0].T, s.points[len(s.points)-1].T
-}
-
-// Values returns a copy of the observation values in order.
-func (s *Series) Values() []float64 {
-	vs := make([]float64, len(s.points))
-	for i, p := range s.points {
-		vs[i] = p.V
-	}
-	return vs
 }
 
 // ValueAt returns the last observation at or before t (sample-and-hold
@@ -96,8 +83,8 @@ func (s *Series) ValueAt(t time.Time) (float64, bool) {
 	return s.points[i-1].V, true
 }
 
-// Slice returns the sub-series with start <= t < end.
-func (s *Series) Slice(start, end time.Time) *Series {
+// slice returns the sub-series with start <= t < end.
+func (s *Series) slice(start, end time.Time) *Series {
 	lo := sort.Search(len(s.points), func(i int) bool {
 		return !s.points[i].T.Before(start)
 	})
@@ -107,91 +94,6 @@ func (s *Series) Slice(start, end time.Time) *Series {
 	out := New(s.Name, s.Unit)
 	out.points = append(out.points, s.points[lo:hi]...)
 	return out
-}
-
-// Agg selects how Resample combines the points falling in a window.
-type Agg int
-
-// Aggregation modes.
-const (
-	AggMean Agg = iota
-	AggSum
-	AggMax
-	AggMin
-	AggLast
-	AggCount
-)
-
-// Resample buckets the series into fixed windows of width w starting at
-// the first observation and combines each bucket with the aggregation
-// mode. Empty windows are skipped (the simulated system is off at night;
-// Figure 2 shows gaps, not zeros). The output point carries the window
-// start time.
-func (s *Series) Resample(w time.Duration, mode Agg) (*Series, error) {
-	if w <= 0 {
-		return nil, errors.New("timeseries: non-positive resample window")
-	}
-	out := New(s.Name, s.Unit)
-	if len(s.points) == 0 {
-		return out, nil
-	}
-	origin := s.points[0].T
-	i := 0
-	for i < len(s.points) {
-		bucket := s.points[i].T.Sub(origin) / w
-		start := origin.Add(bucket * w)
-		end := start.Add(w)
-		var sum, max, min, last float64
-		count := 0
-		for i < len(s.points) && s.points[i].T.Before(end) {
-			v := s.points[i].V
-			if count == 0 {
-				max, min = v, v
-			} else {
-				if v > max {
-					max = v
-				}
-				if v < min {
-					min = v
-				}
-			}
-			sum += v
-			last = v
-			count++
-			i++
-		}
-		var v float64
-		switch mode {
-		case AggMean:
-			v = sum / float64(count)
-		case AggSum:
-			v = sum
-		case AggMax:
-			v = max
-		case AggMin:
-			v = min
-		case AggLast:
-			v = last
-		case AggCount:
-			v = float64(count)
-		default:
-			return nil, fmt.Errorf("timeseries: unknown aggregation %d", mode)
-		}
-		out.points = append(out.points, Point{T: start, V: v})
-	}
-	return out, nil
-}
-
-// Integrate returns the trapezoidal integral of the series over its span,
-// in value-seconds. Integrating a power series (watts) yields joules,
-// which is how trace energies are computed from sampled power.
-func (s *Series) Integrate() float64 {
-	var total float64
-	for i := 1; i < len(s.points); i++ {
-		dt := s.points[i].T.Sub(s.points[i-1].T).Seconds()
-		total += (s.points[i].V + s.points[i-1].V) / 2 * dt
-	}
-	return total
 }
 
 // Gaps returns the intervals between consecutive points longer than min.
@@ -252,35 +154,4 @@ func WriteCSV(w io.Writer, series ...*Series) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV reads a single-series CSV previously produced by WriteCSV with
-// one series (time + one value column).
-func ReadCSV(r io.Reader) (*Series, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, errors.New("timeseries: empty CSV")
-	}
-	if len(rows[0]) != 2 {
-		return nil, fmt.Errorf("timeseries: want 2 columns, got %d", len(rows[0]))
-	}
-	s := New(rows[0][1], "")
-	for _, row := range rows[1:] {
-		t, err := time.Parse(time.RFC3339Nano, row[0])
-		if err != nil {
-			return nil, fmt.Errorf("timeseries: bad timestamp %q: %w", row[0], err)
-		}
-		v, err := strconv.ParseFloat(row[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("timeseries: bad value %q: %w", row[1], err)
-		}
-		if err := s.Append(t, v); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
 }

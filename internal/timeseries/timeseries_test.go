@@ -2,7 +2,8 @@ package timeseries
 
 import (
 	"bytes"
-	"math"
+	"encoding/csv"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -55,9 +56,8 @@ func TestSpanValuesLen(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	vs := s.Values()
-	if len(vs) != 3 || vs[0] != 1 || vs[2] != 3 {
-		t.Fatalf("values = %v", vs)
+	if ps := s.Points(); len(ps) != 3 || ps[0].V != 1 || ps[2].V != 3 {
+		t.Fatalf("points = %v", ps)
 	}
 }
 
@@ -85,96 +85,6 @@ func TestValueAtSampleAndHold(t *testing.T) {
 	}
 }
 
-func TestSlice(t *testing.T) {
-	s := mk(t, 1, 2, 3, 4, 5)
-	sub := s.Slice(t0.Add(time.Minute), t0.Add(3*time.Minute))
-	if sub.Len() != 2 {
-		t.Fatalf("slice len = %d, want 2", sub.Len())
-	}
-	if sub.At(0).V != 2 || sub.At(1).V != 3 {
-		t.Fatalf("slice values = %v, %v", sub.At(0).V, sub.At(1).V)
-	}
-}
-
-func TestResampleMeanAndSum(t *testing.T) {
-	s := mk(t, 1, 3, 5, 7) // minutes 0..3
-	got, err := s.Resample(2*time.Minute, AggMean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 2 || got.At(0).V != 2 || got.At(1).V != 6 {
-		t.Fatalf("mean resample = %v", got.Values())
-	}
-	sum, err := s.Resample(2*time.Minute, AggSum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.At(0).V != 4 || sum.At(1).V != 12 {
-		t.Fatalf("sum resample = %v", sum.Values())
-	}
-}
-
-func TestResampleSkipsEmptyWindows(t *testing.T) {
-	s := New("x", "")
-	s.MustAppend(t0, 1)
-	s.MustAppend(t0.Add(10*time.Minute), 2)
-	got, err := s.Resample(time.Minute, AggMean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 2 {
-		t.Fatalf("resample with gap produced %d windows, want 2", got.Len())
-	}
-}
-
-func TestResampleModes(t *testing.T) {
-	s := mk(t, 4, 1, 9)
-	check := func(mode Agg, want float64) {
-		t.Helper()
-		r, err := s.Resample(time.Hour, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Len() != 1 || r.At(0).V != want {
-			t.Fatalf("mode %d = %v, want %v", mode, r.Values(), want)
-		}
-	}
-	check(AggMax, 9)
-	check(AggMin, 1)
-	check(AggLast, 9)
-	check(AggCount, 3)
-}
-
-func TestResampleErrors(t *testing.T) {
-	s := mk(t, 1)
-	if _, err := s.Resample(0, AggMean); err == nil {
-		t.Fatal("zero window accepted")
-	}
-	if _, err := s.Resample(time.Minute, Agg(99)); err == nil {
-		t.Fatal("unknown aggregation accepted")
-	}
-}
-
-func TestIntegrateConstantPower(t *testing.T) {
-	// 2 W held for 60 s = 120 J.
-	s := New("power", "W")
-	s.MustAppend(t0, 2)
-	s.MustAppend(t0.Add(time.Minute), 2)
-	if e := s.Integrate(); math.Abs(e-120) > 1e-9 {
-		t.Fatalf("integral = %v, want 120", e)
-	}
-}
-
-func TestIntegrateRamp(t *testing.T) {
-	// Linear ramp 0..4 W over 10 s = 20 J.
-	s := New("power", "W")
-	s.MustAppend(t0, 0)
-	s.MustAppend(t0.Add(10*time.Second), 4)
-	if e := s.Integrate(); math.Abs(e-20) > 1e-9 {
-		t.Fatalf("integral = %v, want 20", e)
-	}
-}
-
 func TestGaps(t *testing.T) {
 	s := New("x", "")
 	s.MustAppend(t0, 1)
@@ -195,16 +105,24 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf)
+	rows, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != s.Len() {
-		t.Fatalf("round trip len = %d, want %d", back.Len(), s.Len())
+	if len(rows) != 1+s.Len() || rows[0][1] != "power (W)" {
+		t.Fatalf("round trip rows = %v, want header + %d points", rows, s.Len())
 	}
-	for i := 0; i < s.Len(); i++ {
-		if back.At(i).V != s.At(i).V || !back.At(i).T.Equal(s.At(i).T) {
-			t.Fatalf("point %d mismatch: %v vs %v", i, back.At(i), s.At(i))
+	for i, p := range s.Points() {
+		ts, err := time.Parse(time.RFC3339Nano, rows[i+1][0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := strconv.ParseFloat(rows[i+1][1], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != p.V || !ts.Equal(p.T) {
+			t.Fatalf("point %d mismatch: %v %v vs %v", i, ts, v, p)
 		}
 	}
 }
@@ -236,17 +154,13 @@ func TestWriteCSVNoSeries(t *testing.T) {
 	}
 }
 
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("empty CSV accepted")
+func TestSlice(t *testing.T) {
+	s := mk(t, 1, 2, 3, 4, 5)
+	sub := s.slice(t0.Add(time.Minute), t0.Add(3*time.Minute))
+	if sub.Len() != 2 {
+		t.Fatalf("slice len = %d, want 2", sub.Len())
 	}
-	if _, err := ReadCSV(strings.NewReader("time,a,b\n")); err == nil {
-		t.Error("3-column CSV accepted")
-	}
-	if _, err := ReadCSV(strings.NewReader("time,v\nnot-a-time,1\n")); err == nil {
-		t.Error("bad timestamp accepted")
-	}
-	if _, err := ReadCSV(strings.NewReader("time,v\n2023-04-10T08:00:00Z,zap\n")); err == nil {
-		t.Error("bad value accepted")
+	if p := sub.Points(); p[0].V != 2 || p[1].V != 3 {
+		t.Fatalf("slice values = %v, %v", p[0].V, p[1].V)
 	}
 }

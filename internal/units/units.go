@@ -1,5 +1,5 @@
 // Package units provides the physical quantities used throughout beesim:
-// energy, power, charge, voltage and irradiance, together with the
+// energy, power, irradiance, temperature and humidity, together with the
 // arithmetic that connects them to time.
 //
 // All quantities are float64 wrappers. They exist to make signatures
@@ -23,15 +23,6 @@ type Watts float64
 
 // WattHours is an amount of energy in watt-hours (used for battery sizing).
 type WattHours float64
-
-// Volts is an electric potential.
-type Volts float64
-
-// Amperes is an electric current.
-type Amperes float64
-
-// AmpereHours is an amount of electric charge (battery capacity rating).
-type AmpereHours float64
 
 // WattsPerSquareMeter is an irradiance (solar flux density).
 type WattsPerSquareMeter float64
@@ -70,14 +61,6 @@ func (e Joules) WattHours() WattHours { return WattHours(float64(e) / 3600) }
 
 // Joules converts the energy to joules.
 func (w WattHours) Joules() Joules { return Joules(float64(w) * 3600) }
-
-// Power returns the electrical power at voltage v carrying current i.
-func Power(v Volts, i Amperes) Watts { return Watts(float64(v) * float64(i)) }
-
-// Energy returns the energy stored by charge q at voltage v.
-func (q AmpereHours) Energy(v Volts) WattHours {
-	return WattHours(float64(q) * float64(v))
-}
 
 // String formats the energy with an adaptive unit (J, kJ, MJ).
 func (e Joules) String() string {
