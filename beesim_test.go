@@ -90,23 +90,3 @@ func TestQueenDetectionFacade(t *testing.T) {
 		t.Fatalf("SVM detector accuracy = %v", det.Metrics.Accuracy)
 	}
 }
-
-func TestExperimentEntryPoints(t *testing.T) {
-	if _, err := TableI(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := TableII(); err != nil {
-		t.Fatal(err)
-	}
-	pts := Figure3()
-	if len(pts) != 6 {
-		t.Fatalf("figure 3 points = %d", len(pts))
-	}
-	st, err := RoutineStats(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Routines != 50 {
-		t.Fatal("routine stats lost count")
-	}
-}

@@ -269,7 +269,6 @@ func bootLocal(spec loadgen.LoadSpec, n int) (servers []*hivenet.Server, addrs, 
 	cfg.Seed = spec.Seed
 	cfg.MaxParallel = perShard
 	cfg.Slots = 2
-	cfg.Metrics = obs.NewRegistry()
 	cfg.Admission = hivenet.AdmissionConfig{
 		MaxSessions:        spec.Server.MaxSessions,
 		MaxInflightUploads: spec.Server.MaxInflight,
@@ -286,6 +285,7 @@ func bootLocal(spec loadgen.LoadSpec, n int) (servers []*hivenet.Server, addrs, 
 		}
 	}
 	for i := 0; i < n; i++ {
+		cfg.Metrics = obs.NewRegistry() // one registry per shard: Stats reads it
 		s, serr := hivenet.NewServer("127.0.0.1:0", cfg)
 		if serr != nil {
 			closeAll()

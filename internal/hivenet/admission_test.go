@@ -8,6 +8,7 @@ package hivenet
 
 import (
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -294,6 +295,31 @@ func TestSessionCapRefusesHello(t *testing.T) {
 	}
 	if s.Stats().Rejects != 1 {
 		t.Fatalf("rejects = %d", s.Stats().Rejects)
+	}
+}
+
+// TestSessionCapFreedOnBye: the session cap counts sessions holding a
+// slot, and Bye frees the slot before its ack, so hives that dial and
+// close in turn under a cap of one are all welcomed.
+func TestSessionCapFreedOnBye(t *testing.T) {
+	cfg := admissionServerConfig(0)
+	cfg.Admission.MaxSessions = 1
+	s := startServer(t, cfg)
+
+	const hives = 1000
+	for i := 0; i < hives; i++ {
+		acfg := DefaultAgentConfig(fmt.Sprintf("redial-%d", i))
+		acfg.ClipSeconds = 0.25
+		a, err := Dial(s.Addr(), acfg)
+		if err != nil {
+			t.Fatalf("hive %d refused after %d closed sessions: %v", i, i, err)
+		}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Sessions != hives || st.Rejects != 0 {
+		t.Fatalf("stats = %+v, want %d sessions and no rejects", st, hives)
 	}
 }
 

@@ -44,7 +44,7 @@ func BenchmarkServerHandleUpload(b *testing.B) {
 	cfg.ClipSeconds = 0.25
 	cfg.Metrics = obs.NewRegistry()
 	cfg.Admission = AdmissionConfig{MaxInflightUploads: 4, MaxArchiveRecords: 64}
-	s, err := NewServer("127.0.0.1:0", cfg)
+	s, err := newTestServer(b, "127.0.0.1:0", cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 // upload cycle so every handler has data to serve. The invariant is
 // simple: any parseable request gets an HTTP response, never a panic.
 func FuzzDashboardHTTP(f *testing.F) {
-	s, err := NewServer("127.0.0.1:0", DefaultServerConfig())
+	s, err := newTestServer(f, "127.0.0.1:0", DefaultServerConfig())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -134,7 +134,11 @@ func fuzzAdmissionSetup() error {
 				MaxArchiveRecords:  8,
 				RetryAfter:         time.Second,
 			}
-			return NewServer("127.0.0.1:0", cfg)
+			d, err := cachedDetector(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return newServer("127.0.0.1:0", cfg, d)
 		}
 		if fuzzAdmission.idle, fuzzAdmission.err = mk(); fuzzAdmission.err != nil {
 			return

@@ -9,19 +9,69 @@ import (
 	"testing"
 	"time"
 
+	"beesim/internal/core"
 	"beesim/internal/hive"
+	"beesim/internal/queendetect"
 	"beesim/internal/routine"
 	"beesim/internal/store"
 )
+
+// detectorKey is the training shape a ServerConfig gives its detector.
+type detectorKey struct {
+	corpus int
+	clip   float64
+	seed   uint64
+}
+
+// detectors holds one trained detector per training shape, so this
+// package's tests train each model once instead of once per server.
+// Inference never mutates a detector, so servers share them.
+var detectors = struct {
+	sync.Mutex
+	m map[detectorKey]*queendetect.SVMResult
+}{m: map[detectorKey]*queendetect.SVMResult{}}
+
+// cachedDetector returns the trained detector for cfg's training shape.
+func cachedDetector(cfg ServerConfig) (*queendetect.SVMResult, error) {
+	detectors.Lock()
+	defer detectors.Unlock()
+	key := detectorKey{cfg.TrainCorpus, cfg.ClipSeconds, cfg.Seed}
+	if d, ok := detectors.m[key]; ok {
+		return d, nil
+	}
+	d, err := trainDetector(cfg)
+	if err != nil {
+		return nil, err
+	}
+	detectors.m[key] = d
+	return d, nil
+}
+
+// newTestServer binds a server on addr around the cached detector for
+// cfg. Tests of NewServer's validation and training call NewServer.
+func newTestServer(t testing.TB, addr string, cfg ServerConfig) (*Server, error) {
+	t.Helper()
+	d, err := cachedDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newServer(addr, cfg, d)
+}
 
 // startServer boots a server on a loopback port and returns it with a
 // cleanup hook.
 func startServer(t *testing.T, cfg ServerConfig) *Server {
 	t.Helper()
-	s, err := NewServer("127.0.0.1:0", cfg)
+	s, err := newTestServer(t, "127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serve(t, s)
+}
+
+// serve runs s until the test ends.
+func serve(t *testing.T, s *Server) *Server {
+	t.Helper()
 	go func() {
 		if err := s.Serve(); err != nil {
 			t.Errorf("serve: %v", err)
@@ -40,8 +90,14 @@ func TestServerConfigValidation(t *testing.T) {
 	}
 }
 
+// TestEndToEndEdgeCloudCycle goes through NewServer, so the server
+// serves a detector it trained itself.
 func TestEndToEndEdgeCloudCycle(t *testing.T) {
-	s := startServer(t, DefaultServerConfig())
+	s, err := NewServer("127.0.0.1:0", DefaultServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve(t, s)
 	if s.DetectorAccuracy() < 0.8 {
 		t.Fatalf("server detector accuracy = %v", s.DetectorAccuracy())
 	}
@@ -175,6 +231,59 @@ func TestSlotAssignmentSequentialFill(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "full") {
 		t.Fatalf("refusal error = %v", err)
 	}
+
+	// Freed places refill lowest-first: after the hives in slots 0 and 2
+	// leave, the next two joins land in 0 and then 2.
+	for _, i := range []int{0, 4} {
+		if err := agents[i].Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []int{0, 2} {
+		a, err := Dial(s.Addr(), DefaultAgentConfig("rejoin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		agents = append(agents, a)
+		if a.Slot() != want {
+			t.Fatalf("rejoining hive slot = %d, want %d (lowest slot with room)", a.Slot(), want)
+		}
+	}
+
+	// At the default 10 x 18 shape, live slot occupancy is the paper's
+	// allocator's. Core fits 18 full CNN slots in a 5-minute cycle (19
+	// for the shorter SVM execution), so the default is Figure 6's CNN
+	// shape.
+	def := DefaultServerConfig()
+	svc, err := core.NewService(routine.CNN, 5*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := core.DefaultServer(def.MaxParallel)
+	if slots, err := spec.SlotsPerCycle(svc, core.Losses{}); err != nil || slots != def.Slots {
+		t.Fatalf("core fits %d CNN slots (%v), server has %d", slots, err, def.Slots)
+	}
+	for _, n := range []int{25, 180} {
+		want, err := core.Allocate(n, spec, svc, core.Losses{}, core.FillSequential)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := startServer(t, def)
+		got := make([]int, def.Slots)
+		for i := 0; i < n; i++ {
+			acfg := DefaultAgentConfig(fmt.Sprintf("fill-%d", i))
+			acfg.ClipSeconds = 0.25
+			a, err := Dial(srv.Addr(), acfg)
+			if err != nil {
+				t.Fatalf("n=%d: hive %d: %v", n, i, err)
+			}
+			t.Cleanup(func() { _ = a.Close() }) // before srv's Close waits on it
+			got[a.Slot()]++
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want.Servers[0].Slots) {
+			t.Fatalf("n=%d: slot occupancy %v, core.Allocate %v", n, got, want.Servers[0].Slots)
+		}
+	}
 }
 
 // TestSlotReleasedWhenSessionEnds: a hive that says Bye gives its slot
@@ -285,7 +394,7 @@ func TestAgentCloseIsIdempotent(t *testing.T) {
 }
 
 func TestServerCloseUnblocksServe(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0", DefaultServerConfig())
+	s, err := newTestServer(t, "127.0.0.1:0", DefaultServerConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,14 +479,14 @@ func TestArchivePersistsToDisk(t *testing.T) {
 	}
 }
 
-// TestListenFailureClosesArchive hands NewServer an unlistenable
+// TestListenFailureClosesArchive hands the server an unlistenable
 // address: the freshly opened archive must be closed (and its file left
 // reusable) rather than leaked with the error.
 func TestListenFailureClosesArchive(t *testing.T) {
 	cfg := DefaultServerConfig()
 	cfg.ArchivePath = filepath.Join(t.TempDir(), "apiary.log")
-	if _, err := NewServer("127.0.0.1", cfg); err == nil { // no port: Listen must fail
-		t.Fatal("NewServer on a portless address succeeded")
+	if _, err := newTestServer(t, "127.0.0.1", cfg); err == nil { // no port: Listen must fail
+		t.Fatal("server on a portless address started")
 	}
 	re, err := store.Open(cfg.ArchivePath)
 	if err != nil {

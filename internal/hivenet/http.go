@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"beesim/internal/obs"
@@ -50,8 +49,11 @@ type Dashboard struct {
 // ledger export overrides to application/jsonl) and Cache-Control:
 // no-store, so browsers and proxies never serve stale monitoring data.
 //
-// When the server was configured with a metrics registry, every request
-// is counted and timed (hivenet_http_requests_total.<handler>,
+// Every route is GET-only (HEAD included): the mux answers any other
+// method with 405 and an unknown path with 404 before a handler runs.
+//
+// When the server was configured with a metrics registry, every routed
+// request is counted and timed (hivenet_http_requests_total.<handler>,
 // hivenet_http_request_seconds.<handler>) and the in-flight gauge
 // hivenet_http_in_flight tracks concurrency.
 func NewDashboard(srv *Server) *Dashboard {
@@ -60,16 +62,16 @@ func NewDashboard(srv *Server) *Dashboard {
 		mux:       http.NewServeMux(),
 		gInFlight: srv.Metrics().Gauge(MetricHTTPInFlight),
 	}
-	d.mux.HandleFunc("/", d.instrument("index", d.handleIndex))
-	d.mux.HandleFunc("/api/stats", d.instrument("stats", apiHeaders(d.handleStats)))
-	d.mux.HandleFunc("/api/hives", d.instrument("hives", apiHeaders(d.handleHives)))
-	d.mux.HandleFunc("/api/records", d.instrument("records", apiHeaders(d.handleRecords)))
-	d.mux.HandleFunc("/api/metrics", d.instrument("metrics", apiHeaders(d.handleMetricsJSON)))
-	d.mux.HandleFunc("/metrics", d.instrument("metrics", d.handleMetricsText))
-	d.mux.HandleFunc("/api/ledger", d.instrument("ledger", apiHeaders(d.handleLedger)))
-	d.mux.HandleFunc("/api/slo", d.instrument("slo", apiHeaders(d.handleSLO)))
-	d.mux.HandleFunc("/api/trace/", d.instrument("trace", apiHeaders(d.handleTrace)))
-	d.mux.HandleFunc("/api/slowest", d.instrument("slowest", apiHeaders(d.handleSlowest)))
+	d.mux.HandleFunc("GET /{$}", d.instrument("index", d.handleIndex))
+	d.mux.HandleFunc("GET /api/stats", d.instrument("stats", apiHeaders(d.handleStats)))
+	d.mux.HandleFunc("GET /api/hives", d.instrument("hives", apiHeaders(d.handleHives)))
+	d.mux.HandleFunc("GET /api/records", d.instrument("records", apiHeaders(d.handleRecords)))
+	d.mux.HandleFunc("GET /api/metrics", d.instrument("metrics", apiHeaders(d.handleMetricsJSON)))
+	d.mux.HandleFunc("GET /metrics", d.instrument("metrics", d.handleMetricsText))
+	d.mux.HandleFunc("GET /api/ledger", d.instrument("ledger", apiHeaders(d.handleLedger)))
+	d.mux.HandleFunc("GET /api/slo", d.instrument("slo", apiHeaders(d.handleSLO)))
+	d.mux.HandleFunc("GET /api/trace/{id...}", d.instrument("trace", apiHeaders(d.handleTrace)))
+	d.mux.HandleFunc("GET /api/slowest", d.instrument("slowest", apiHeaders(d.handleSlowest)))
 	return d
 }
 
@@ -126,10 +128,6 @@ func (d *Dashboard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (d *Dashboard) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	m := d.srv.Metrics()
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	if m == nil {
 		http.Error(w, "metrics disabled (start the server with a registry)", http.StatusNotFound)
 		return
@@ -142,10 +140,6 @@ func (d *Dashboard) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 
 func (d *Dashboard) handleMetricsText(w http.ResponseWriter, r *http.Request) {
 	m := d.srv.Metrics()
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	if m == nil {
 		http.Error(w, "metrics disabled (start the server with a registry)", http.StatusNotFound)
 		return
@@ -159,10 +153,6 @@ func (d *Dashboard) handleMetricsText(w http.ResponseWriter, r *http.Request) {
 // handleLedger streams the server's energy ledger as JSONL — the same
 // wire format hivereport and the offline auditor read.
 func (d *Dashboard) handleLedger(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	lg := d.srv.Ledger()
 	if lg == nil {
 		http.Error(w, "ledger disabled (start the server with -ledger)", http.StatusNotFound)
@@ -179,10 +169,6 @@ func (d *Dashboard) handleLedger(w http.ResponseWriter, r *http.Request) {
 // verdict; monitors should alert on "pass": false, not on the status
 // code, so an SLO burn never looks like a dashboard outage.
 func (d *Dashboard) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	if d.sloSpec == nil {
 		http.Error(w, "slo disabled (start the server with -slo spec.json)", http.StatusNotFound)
 		return
@@ -229,15 +215,11 @@ func validTraceID(id string) bool {
 // file — load it in Perfetto to see the wake-up's full edge-to-cloud
 // chain (root routine span, per-attempt radio spans, server handler).
 func (d *Dashboard) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	if d.srv.Tracer() == nil {
 		http.Error(w, "tracing disabled (start the server with a tracer)", http.StatusNotFound)
 		return
 	}
-	id := strings.TrimPrefix(r.URL.Path, "/api/trace/")
+	id := r.PathValue("id")
 	if !validTraceID(id) {
 		http.Error(w, "trace id must be 32 lowercase hex digits", http.StatusBadRequest)
 		return
@@ -256,10 +238,6 @@ func (d *Dashboard) handleTrace(w http.ResponseWriter, r *http.Request) {
 // handled, as (latency, trace ID) exemplars linking straight into
 // /api/trace/{id}. Empty until traced uploads arrive.
 func (d *Dashboard) handleSlowest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	ex := d.srv.SlowestUploads(16)
 	if ex == nil {
 		ex = []obs.ExemplarSnap{}
@@ -275,10 +253,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 func (d *Dashboard) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	st := d.srv.Stats()
 	writeJSON(w, map[string]any{
 		"sessions":          st.Sessions,
@@ -291,18 +265,10 @@ func (d *Dashboard) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Dashboard) handleHives(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	writeJSON(w, d.srv.Archive().Hives())
 }
 
 func (d *Dashboard) handleRecords(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	hive := r.URL.Query().Get("hive")
 	if hive == "" {
 		http.Error(w, "missing hive parameter", http.StatusBadRequest)
@@ -367,10 +333,6 @@ var indexTemplate = template.Must(template.New("index").Parse(`<!doctype html>
 `))
 
 func (d *Dashboard) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
 	st := d.srv.Stats()
 	hives := d.srv.Archive().Hives()
 	sort.Strings(hives)

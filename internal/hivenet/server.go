@@ -36,9 +36,11 @@ import (
 // behavior); production fleets should set every bound so a retry storm
 // degrades into typed rejections instead of unbounded queues.
 type AdmissionConfig struct {
-	// MaxSessions caps concurrently connected sessions. A Hello beyond
-	// the cap is answered with a TypeReject (code "server_full") and the
-	// connection is closed. 0 = unlimited.
+	// MaxSessions caps live sessions: those holding a slot. A Hello
+	// beyond the cap is answered with a TypeReject (code "server_full")
+	// and the connection is closed. A session frees its slot at Bye,
+	// before the ack, so a hive that closes and redials is never refused
+	// by its own old session. 0 = unlimited.
 	MaxSessions int
 	// MaxInflightUploads caps audio uploads being handled at once
 	// across all sessions. An upload beyond the budget is answered with
@@ -82,7 +84,10 @@ type ServerConfig struct {
 	ArchivePath string
 	// Metrics, when non-nil, receives the server's session/report/upload
 	// counters, slot gauges and energy totals, and enables the
-	// dashboard's /metrics and /api/metrics snapshot endpoints.
+	// dashboard's /metrics and /api/metrics snapshot endpoints. A
+	// registry belongs to one server: Stats reads these counters, so
+	// servers sharing a registry would each report the shared totals.
+	// When nil, the server keeps its counters in a private registry.
 	Metrics *obs.Registry
 	// Ledger, when non-nil, records each upload's receive+execute burst
 	// as attribution-only consume entries keyed by the upload's own
@@ -156,29 +161,25 @@ type Server struct {
 	cloud    power.Cloud
 	archive  *store.Store
 
+	// mu guards closed and the slot table, whose loads are the live
+	// sessions.
 	mu       sync.Mutex
-	nextSlot int
 	slotLoad []int
-	sessions int
-	reports  int
-	uploads  int
-	rejects  int
-	energy   units.Joules // receive+execute bursts above idle
 	closed   bool
 	wg       sync.WaitGroup
 	started  time.Time
 
-	// Admission state: lock-free so the reject fast path costs two
-	// atomic ops under storm load.
-	liveSessions atomic.Int64
-	inflight     atomic.Int64
-	shedSeen     atomic.Int64
+	// Upload admission state: lock-free so the reject fast path costs
+	// two atomic ops under storm load.
+	inflight atomic.Int64
+	shedSeen atomic.Int64
 
-	// Observability probes; nil-safe no-ops when cfg.Metrics is nil.
-	mSessions    *obs.Counter
-	mReports     *obs.Counter
-	mUploads     *obs.Counter
-	mSessionErrs *obs.Counter
+	// Observability probes, registered in cfg.Metrics or a private
+	// registry. They are the server's only books: Stats reads them.
+	mSessions     *obs.Counter
+	mReports      *obs.Counter
+	mUploads      *obs.Counter
+	mSessionErrs  *obs.Counter
 	mSlotAssigns  *obs.Counter
 	mSlotRejects  *obs.Counter
 	mBurstJ       *obs.Counter
@@ -191,8 +192,8 @@ type Server struct {
 	hQueueDepth   *obs.Histogram
 }
 
-// NewServer trains the detection model and binds a listener on addr
-// (use "127.0.0.1:0" for tests).
+// NewServer validates cfg, trains the detection model and binds a
+// listener on addr (use "127.0.0.1:0" for tests).
 func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.MaxParallel <= 0 || cfg.Slots <= 0 {
 		return nil, errors.New("hivenet: non-positive slot shape")
@@ -200,6 +201,15 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.TrainCorpus < 8 {
 		return nil, errors.New("hivenet: training corpus too small")
 	}
+	detector, err := trainDetector(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return newServer(addr, cfg, detector)
+}
+
+// trainDetector trains the queen-detection model cfg describes.
+func trainDetector(cfg ServerConfig) (*queendetect.SVMResult, error) {
 	corpus, err := audio.Corpus(audio.Config{
 		SampleRate: audio.SampleRate,
 		Seconds:    cfg.ClipSeconds,
@@ -212,10 +222,17 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hivenet: training detector: %w", err)
 	}
+	return detector, nil
+}
+
+// newServer opens the archive and binds the listener for a validated
+// cfg, serving the given trained detector. Inference never mutates the
+// detector, so servers may share one.
+func newServer(addr string, cfg ServerConfig, detector *queendetect.SVMResult) (*Server, error) {
 	archive := store.OpenMemory()
 	if cfg.ArchivePath != "" {
-		archive, err = store.Open(cfg.ArchivePath)
-		if err != nil {
+		var err error
+		if archive, err = store.Open(cfg.ArchivePath); err != nil {
 			return nil, fmt.Errorf("hivenet: opening archive: %w", err)
 		}
 	}
@@ -228,6 +245,10 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		}
 		return nil, err
 	}
+	m := cfg.Metrics
+	if m == nil {
+		m = obs.NewRegistry()
+	}
 	s := &Server{
 		cfg:      cfg,
 		ln:       ln,
@@ -237,21 +258,21 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		slotLoad: make([]int, cfg.Slots),
 		started:  time.Now(), //beelint:allow walltime real service uptime anchor for the idle-energy stat; ledger entries use upload timestamps
 
-		mSessions:    cfg.Metrics.Counter(MetricSessions),
-		mReports:     cfg.Metrics.Counter(MetricReports),
-		mUploads:     cfg.Metrics.Counter(MetricUploads),
-		mSessionErrs: cfg.Metrics.Counter(MetricSessionErrs),
-		mSlotAssigns: cfg.Metrics.Counter(MetricSlotAssigns),
-		mSlotRejects: cfg.Metrics.Counter(MetricSlotRejects),
-		mBurstJ:      cfg.Metrics.Counter(MetricBurstJ),
-		gClients:     cfg.Metrics.Gauge(MetricClientsLive),
+		mSessions:    m.Counter(MetricSessions),
+		mReports:     m.Counter(MetricReports),
+		mUploads:     m.Counter(MetricUploads),
+		mSessionErrs: m.Counter(MetricSessionErrs),
+		mSlotAssigns: m.Counter(MetricSlotAssigns),
+		mSlotRejects: m.Counter(MetricSlotRejects),
+		mBurstJ:      m.Counter(MetricBurstJ),
+		gClients:     m.Gauge(MetricClientsLive),
 
-		hUploadHandle: cfg.Metrics.Histogram(MetricUploadHandleSeconds),
-		hUploadE2E:    cfg.Metrics.Histogram(MetricUploadE2ESeconds),
-		mAdmRejects:   cfg.Metrics.Counter(MetricAdmissionRejects),
-		mArchiveShed:  cfg.Metrics.Counter(MetricArchiveShed),
-		gInflight:     cfg.Metrics.Gauge(MetricInflightUploads),
-		hQueueDepth:   cfg.Metrics.Histogram(MetricQueueDepth),
+		hUploadHandle: m.Histogram(MetricUploadHandleSeconds),
+		hUploadE2E:    m.Histogram(MetricUploadE2ESeconds),
+		mAdmRejects:   m.Counter(MetricAdmissionRejects),
+		mArchiveShed:  m.Counter(MetricArchiveShed),
+		gInflight:     m.Gauge(MetricInflightUploads),
+		hQueueDepth:   m.Histogram(MetricQueueDepth),
 	}
 	if cfg.Admission.MaxArchiveRecords > 0 {
 		s.archive.SetCap(cfg.Admission.MaxArchiveRecords)
@@ -356,28 +377,17 @@ type Stats struct {
 	IdleEnergy units.Joules
 }
 
-// Stats returns a snapshot.
+// Stats returns a snapshot read from the server's counters.
 func (s *Server) Stats() Stats {
-	shed := s.archive.Evicted()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return Stats{
-		Sessions:    s.sessions,
-		Reports:     s.reports,
-		Uploads:     s.uploads,
-		Rejects:     s.rejects,
-		ArchiveShed: shed,
-		BurstEnergy: s.energy,
+		Sessions:    int(s.mSessions.Value()),
+		Reports:     int(s.mReports.Value()),
+		Uploads:     int(s.mUploads.Value()),
+		Rejects:     int(s.mAdmRejects.Value()),
+		ArchiveShed: s.archive.Evicted(),
+		BurstEnergy: units.Joules(s.mBurstJ.Value()),
 		IdleEnergy:  s.cloud.IdlePower.Energy(time.Since(s.started)), //beelint:allow walltime idle baseline of the live grid-powered service; not part of any conservation balance
 	}
-}
-
-// noteReject counts one typed admission rejection.
-func (s *Server) noteReject() {
-	s.mu.Lock()
-	s.rejects++
-	s.mu.Unlock()
-	s.mAdmRejects.Inc()
 }
 
 // syncShed folds newly shed archive records into the shed counter.
@@ -416,40 +426,31 @@ func (s *Server) handle(conn net.Conn) error {
 		_ = proto.Encode(conn, proto.TypeError, proto.ErrorBody{Message: err.Error()}, nil)
 		return err
 	}
-	// Session admission: a Hello beyond the cap gets a typed reject and
-	// the connection closes. The reject itself is not a session error —
-	// backpressure is the server working as designed — but a failed
-	// reject write is.
-	if maxS := s.cfg.Admission.MaxSessions; maxS > 0 {
-		if s.liveSessions.Add(1) > int64(maxS) {
-			s.liveSessions.Add(-1)
-			s.noteReject()
-			return proto.Encode(conn, proto.TypeReject, proto.RejectBody{
-				Code:        proto.RejectServerFull,
-				Message:     "session cap reached",
-				RetryAfterS: s.cfg.Admission.RetryAfter.Seconds(),
-			}, nil)
-		}
-		defer s.liveSessions.Add(-1)
-	}
 	slot, err := s.assignSlot()
+	if errors.Is(err, errSessionCap) {
+		// A Hello beyond the session cap gets a typed reject and the
+		// connection closes. The reject itself is not a session error —
+		// backpressure is the server working as designed — but a failed
+		// reject write is.
+		s.mAdmRejects.Inc()
+		return proto.Encode(conn, proto.TypeReject, proto.RejectBody{
+			Code:        proto.RejectServerFull,
+			Message:     "session cap reached",
+			RetryAfterS: s.cfg.Admission.RetryAfter.Seconds(),
+		}, nil)
+	}
 	if err != nil {
 		_ = proto.Encode(conn, proto.TypeError, proto.ErrorBody{Message: err.Error()}, nil)
 		return err
 	}
 	// The session holds its slot until it ends, however it ends: Bye
 	// releases it before the ack, every other exit through the defer.
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			s.releaseSlot(slot)
-		}
-	}
+	release := sync.OnceFunc(func() {
+		s.mu.Lock()
+		s.slotLoad[slot]--
+		s.mu.Unlock()
+	})
 	defer release()
-	s.mu.Lock()
-	s.sessions++
-	s.mu.Unlock()
 	s.mSessions.Inc()
 	if err := proto.Encode(conn, proto.TypeWelcome,
 		proto.Welcome{Slot: slot, MaxParallel: s.cfg.MaxParallel}, nil); err != nil {
@@ -490,9 +491,6 @@ func (s *Server) handle(conn net.Conn) error {
 				s.logf("archive: %v", err)
 			}
 			s.syncShed()
-			s.mu.Lock()
-			s.reports++
-			s.mu.Unlock()
 			s.mReports.Inc()
 			lastWake = r.Time
 			if err := proto.Encode(conn, proto.TypeAck, nil, nil); err != nil {
@@ -522,9 +520,6 @@ func (s *Server) handle(conn net.Conn) error {
 				return err
 			}
 			s.archiveResult(res)
-			s.mu.Lock()
-			s.reports++
-			s.mu.Unlock()
 			s.mReports.Inc()
 			if err := proto.Encode(conn, proto.TypeAck, nil, nil); err != nil {
 				return err
@@ -555,7 +550,7 @@ func (s *Server) admitUpload(conn net.Conn) (admitted bool, err error) {
 	s.hQueueDepth.Observe(float64(s.inflight.Load()))
 	if b := s.cfg.Admission.MaxInflightUploads; b > 0 && s.inflight.Add(1) > int64(b) {
 		s.inflight.Add(-1)
-		s.noteReject()
+		s.mAdmRejects.Inc()
 		return false, proto.Encode(conn, proto.TypeReject, proto.RejectBody{
 			Code:        proto.RejectOverCapacity,
 			Message:     "inflight upload budget exhausted",
@@ -619,9 +614,6 @@ func (s *Server) handleUpload(conn net.Conn, f proto.Frame, up proto.AudioUpload
 	} else {
 		s.hUploadE2E.ObserveExemplar(burstD.Seconds(), srvSC)
 	}
-	s.mu.Lock()
-	s.uploads++
-	s.mu.Unlock()
 	s.mUploads.Inc()
 	res := proto.Result{
 		HiveID:       up.HiveID,
@@ -635,38 +627,33 @@ func (s *Server) handleUpload(conn net.Conn, f proto.Frame, up proto.AudioUpload
 	return proto.Encode(conn, proto.TypeResult, res, nil)
 }
 
-// assignSlot implements the paper's sequential filling policy over the
-// live session set.
+// errSessionCap refuses a session beyond Admission.MaxSessions.
+var errSessionCap = errors.New("hivenet: session cap reached")
+
+// assignSlot admits a session under the session cap, then places it by
+// the paper's sequential filling policy: the lowest slot with room, so
+// every slot below it is full. The sessions holding a slot are the live
+// sessions.
 func (s *Server) assignSlot() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := 0; i < s.cfg.Slots; i++ {
-		idx := (s.nextSlot + i) % s.cfg.Slots
-		if s.slotLoad[idx] < s.cfg.MaxParallel {
-			s.slotLoad[idx]++
-			s.mSlotAssigns.Inc()
-			if s.slotLoad[idx] == s.cfg.MaxParallel {
-				s.nextSlot = (idx + 1) % s.cfg.Slots
-			} else {
-				s.nextSlot = idx
-			}
-			return idx, nil
+	live, free := 0, -1
+	for i, n := range s.slotLoad {
+		live += n
+		if free < 0 && n < s.cfg.MaxParallel {
+			free = i
 		}
 	}
-	s.mSlotRejects.Inc()
-	return 0, errors.New("hivenet: server full (all slots at capacity)")
-}
-
-// releaseSlot returns an ended session's place in its slot. Filling
-// resumes at the lowest slot with room, as sequential filling would
-// have chosen it.
-func (s *Server) releaseSlot(idx int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.slotLoad[idx]--
-	if idx < s.nextSlot {
-		s.nextSlot = idx
+	if maxS := s.cfg.Admission.MaxSessions; maxS > 0 && live >= maxS {
+		return 0, errSessionCap
 	}
+	if free < 0 {
+		s.mSlotRejects.Inc()
+		return 0, errors.New("hivenet: server full (all slots at capacity)")
+	}
+	s.slotLoad[free]++
+	s.mSlotAssigns.Inc()
+	return free, nil
 }
 
 // infer runs the queen detector on an uploaded clip.
@@ -700,9 +687,6 @@ func (s *Server) accountUpload(hive string, at time.Time) (time.Duration, units.
 	exec := s.cloud.ExecSVM()
 	recvExtra := s.cloud.AboveIdle(recv)
 	execExtra := s.cloud.AboveIdle(exec)
-	s.mu.Lock()
-	s.energy += recvExtra + execExtra
-	s.mu.Unlock()
 	s.mBurstJ.Add(float64(recvExtra + execExtra))
 	if s.cfg.Ledger != nil {
 		s.cfg.Ledger.Append(ledger.Entry{
@@ -750,7 +734,7 @@ func (s *Server) TraceEvents(id string) ([]obs.TraceEvent, bool) {
 
 // SlowestUploads returns up to n end-to-end upload-latency exemplars,
 // slowest first (ties toward the smaller trace ID) — the dashboard's
-// "which uploads hurt" panel. Empty when metrics or tracing are off.
+// "which uploads hurt" panel. Empty until traced uploads arrive.
 func (s *Server) SlowestUploads(n int) []obs.ExemplarSnap {
 	ex := s.hUploadE2E.Exemplars()
 	sort.Slice(ex, func(i, j int) bool {

@@ -47,7 +47,6 @@ func bootShards(t *testing.T, spec LoadSpec, n int) (servers []*hivenet.Server, 
 	cfg.Seed = spec.Seed
 	cfg.MaxParallel = spec.Hives/n + 1
 	cfg.Slots = 2
-	cfg.Metrics = obs.NewRegistry()
 	cfg.Admission = hivenet.AdmissionConfig{
 		MaxSessions:        spec.Server.MaxSessions,
 		MaxInflightUploads: spec.Server.MaxInflight,
@@ -55,6 +54,7 @@ func bootShards(t *testing.T, spec LoadSpec, n int) (servers []*hivenet.Server, 
 		UploadStall:        time.Duration(spec.Server.StallMS * float64(time.Millisecond)),
 	}
 	for i := 0; i < n; i++ {
+		cfg.Metrics = obs.NewRegistry() // one registry per shard: Stats reads it
 		s, err := hivenet.NewServer("127.0.0.1:0", cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -133,9 +133,13 @@ func TestStressReplayShortMode(t *testing.T) {
 
 	// The servers' own books must agree with the client's: rejects are
 	// never counted as uploads, so delivered == sum of server uploads.
+	// Each shard's dashboard counter is that shard's own, not the fleet's.
 	serverUploads, serverSheds := 0, 0
-	for _, s := range servers {
+	for i, s := range servers {
 		st := s.Stats()
+		if c, _ := s.Metrics().Snapshot().FindCounter(hivenet.MetricUploads); int(c) != st.Uploads {
+			t.Fatalf("shard %d: %s = %v, stats say %d", i, hivenet.MetricUploads, c, st.Uploads)
+		}
 		serverUploads += st.Uploads
 		serverSheds += st.ArchiveShed
 		if cap := spec.Server.MaxArchiveRecords; s.Archive().Len() > cap {
