@@ -31,12 +31,15 @@
 // identical either way). The scenario subcommand replays the Table I/II
 // duty cycle into an energy ledger; record the edge and edge+cloud
 // placements into two files and compare them with hivereport -diff.
+// Every ledger sweep, avail or scenario writes is audited for energy
+// conservation before exit, and a violation fails the command.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -44,8 +47,6 @@ import (
 	"beesim/internal/experiments"
 	"beesim/internal/faults"
 	"beesim/internal/ledger"
-	"beesim/internal/obs"
-	"beesim/internal/parallel"
 	"beesim/internal/power"
 	"beesim/internal/prof"
 	"beesim/internal/report"
@@ -92,33 +93,11 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: apiarysim <fig6|fig7|fig8|fig9|sweep|avail|scenario> [flags]`)
 }
 
-// profiled registers the flags every subcommand shares —
-// -cpuprofile/-memprofile and -workers — parses args, and runs body
-// between profiler start and stop, folding close errors from Stop into
-// the returned error. The -workers value becomes the process-wide
-// parallel default; output is byte-identical for every worker count.
-func profiled(fs *flag.FlagSet, args []string, body func() error) (err error) {
-	p := prof.Register(fs)
-	workers := fs.Int("workers", 0,
-		"worker goroutines for parallel evaluation (0 = all CPUs, 1 = serial)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	parallel.SetDefault(*workers)
-	if err := p.Start(); err != nil {
-		return err
-	}
-	defer func() {
-		err = errors.Join(err, p.Stop())
-	}()
-	return body()
-}
-
 func figure(args []string, title string, run func() ([]experiments.SweepPoint, error)) error {
 	fs := flag.NewFlagSet("figure", flag.ExitOnError)
 	csvPath := fs.String("csv", "", "write the series to this CSV file")
 	svgPath := fs.String("svg", "", "write the figure to this SVG file")
-	return profiled(fs, args, func() error {
+	return prof.Run(fs, args, func() error {
 		pts, err := run()
 		if err != nil {
 			return err
@@ -142,12 +121,7 @@ func renderSVG(title string, pts []experiments.SweepPoint, path string) error {
 	chart := report.NewSVGChart(title, "clients", "J/client/cycle")
 	chart.Add(edge)
 	chart.Add(cloud)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := chart.Render(f); err != nil {
+	if err := report.WriteFile(path, chart.Render); err != nil {
 		return err
 	}
 	fmt.Printf("\nfigure written to %s\n", path)
@@ -159,7 +133,7 @@ func fig7(args []string) error {
 	maxPar := fs.Int("cap", 35, "clients allowed in parallel per slot")
 	csvPath := fs.String("csv", "", "write the series to this CSV file")
 	svgPath := fs.String("svg", "", "write the figure to this SVG file")
-	return profiled(fs, args, func() error {
+	return prof.Run(fs, args, func() error {
 		pts, err := experiments.Figure7(*maxPar)
 		if err != nil {
 			return err
@@ -190,7 +164,7 @@ func fig8(args []string) error {
 	lossName := fs.String("loss", "all", "loss variant: a, b, c or all")
 	csvPath := fs.String("csv", "", "write the series to this CSV file")
 	svgPath := fs.String("svg", "", "write the figure to this SVG file")
-	return profiled(fs, args, func() error {
+	return prof.Run(fs, args, func() error {
 		var v experiments.LossVariant
 		switch *lossName {
 		case "a":
@@ -225,11 +199,9 @@ func sweep(args []string) error {
 	losses := fs.String("losses", "", "loss models to enable, e.g. \"abc\"")
 	balanced := fs.Bool("balanced", false, "use the balanced fill policy")
 	csvPath := fs.String("csv", "", "write the series to this CSV file")
-	metrics := fs.Bool("metrics", false, "print the sweep's metrics snapshot")
-	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON timeline of the sweep to this file")
-	ledgerPath := fs.String("ledger", "", "write the sweep's energy ledger to this JSONL file")
+	out := report.RegisterExports(fs)
 	faultsPath := fs.String("faults", "", "fault plan JSON degrading the edge+cloud uplink")
-	return profiled(fs, args, func() error {
+	return prof.Run(fs, args, func() error {
 		m := routine.CNN
 		if *model == "svm" {
 			m = routine.SVM
@@ -271,24 +243,18 @@ func sweep(args []string) error {
 				return fmt.Errorf("unknown loss %q", string(c))
 			}
 		}
-		sweepCfg := experiments.SweepConfig{
+		out.Arm(time.Unix(0, 0).UTC())
+		pts, err := experiments.Sweep(experiments.SweepConfig{
 			Service: svc,
 			Server:  core.DefaultServer(*maxPar),
 			Losses:  l,
 			From:    *from, To: *to, Step: *step,
-			Policy: policy,
-			Seed:   7,
-		}
-		if *metrics {
-			sweepCfg.Metrics = obs.NewRegistry()
-		}
-		if *tracePath != "" {
-			sweepCfg.Tracer = obs.NewTracer(time.Unix(0, 0).UTC())
-		}
-		if *ledgerPath != "" {
-			sweepCfg.Ledger = ledger.New()
-		}
-		pts, err := experiments.Sweep(sweepCfg)
+			Policy:  policy,
+			Seed:    7,
+			Metrics: out.Metrics,
+			Tracer:  out.Tracer,
+			Ledger:  out.Ledger,
+		})
 		if err != nil {
 			return err
 		}
@@ -297,33 +263,7 @@ func sweep(args []string) error {
 		if err := render(title, pts, *csvPath); err != nil {
 			return err
 		}
-		if *tracePath != "" {
-			err := writeFile(*tracePath, func(f *os.File) error {
-				return sweepCfg.Tracer.WriteJSON(f)
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("\n%d trace events written to %s (open at ui.perfetto.dev)\n",
-				sweepCfg.Tracer.Len(), *tracePath)
-		}
-		if *ledgerPath != "" {
-			err := writeFile(*ledgerPath, func(f *os.File) error {
-				return sweepCfg.Ledger.WriteJSONL(f)
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("\n%d ledger entries written to %s (inspect with hivereport)\n",
-				sweepCfg.Ledger.Len(), *ledgerPath)
-		}
-		if *metrics {
-			fmt.Printf("\nmetrics:\n")
-			if err := sweepCfg.Metrics.Snapshot().WriteText(os.Stdout); err != nil {
-				return err
-			}
-		}
-		return nil
+		return out.Finish(os.Stdout)
 	})
 }
 
@@ -344,10 +284,8 @@ func avail(args []string) error {
 	faultsPath := fs.String("faults", "", "fault plan JSON supplying the seed and retry policy")
 	sloPath := fs.String("slo", "", "SLO spec JSON evaluated per availability point (exit nonzero on breach)")
 	csvPath := fs.String("csv", "", "write the availability series to this CSV file")
-	metrics := fs.Bool("metrics", false, "print the sweep's metrics snapshot")
-	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON timeline to this file")
-	ledgerPath := fs.String("ledger", "", "write the per-point energy ledger to this JSONL file")
-	return profiled(fs, args, func() error {
+	out := report.RegisterExports(fs)
+	return prof.Run(fs, args, func() error {
 		cfg, err := experiments.DefaultAvailabilityConfig()
 		if err != nil {
 			return err
@@ -363,15 +301,8 @@ func avail(args []string) error {
 			cfg.Retry = plan.RetryOrDefault()
 			cfg.Seed = plan.Seed
 		}
-		if *metrics {
-			cfg.Metrics = obs.NewRegistry()
-		}
-		if *tracePath != "" {
-			cfg.Tracer = obs.NewTracer(time.Unix(0, 0).UTC())
-		}
-		if *ledgerPath != "" {
-			cfg.Ledger = ledger.New()
-		}
+		out.Arm(time.Unix(0, 0).UTC())
+		cfg.Metrics, cfg.Tracer, cfg.Ledger = out.Metrics, out.Tracer, out.Ledger
 		var spec slo.Spec
 		if *sloPath != "" {
 			if spec, err = slo.LoadSpec(*sloPath); err != nil {
@@ -444,8 +375,8 @@ func avail(args []string) error {
 			if err != nil {
 				return err
 			}
-			err = writeFile(*csvPath, func(f *os.File) error {
-				return report.WriteSeriesCSV(f, "availability",
+			err = report.WriteFile(*csvPath, func(w io.Writer) error {
+				return report.WriteSeriesCSV(w, "availability",
 					edge, cloud, crossover, delivered, uploadP50, uploadP99)
 			})
 			if err != nil {
@@ -453,36 +384,8 @@ func avail(args []string) error {
 			}
 			fmt.Printf("\nseries written to %s\n", *csvPath)
 		}
-		if *tracePath != "" {
-			err := writeFile(*tracePath, func(f *os.File) error {
-				return cfg.Tracer.WriteJSON(f)
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("\n%d trace events written to %s (open at ui.perfetto.dev)\n",
-				cfg.Tracer.Len(), *tracePath)
-		}
-		if *ledgerPath != "" {
-			err := writeFile(*ledgerPath, func(f *os.File) error {
-				return cfg.Ledger.WriteJSONL(f)
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("\n%d ledger entries written to %s (inspect with hivereport)\n",
-				cfg.Ledger.Len(), *ledgerPath)
-			rep := ledger.Audit(cfg.Ledger, ledger.DefaultTolerance())
-			fmt.Printf("  %s\n", rep.String())
-			if !rep.OK() {
-				return fmt.Errorf("conservation audit failed with %d violation(s)", len(rep.Violations))
-			}
-		}
-		if *metrics {
-			fmt.Printf("\nmetrics:\n")
-			if err := cfg.Metrics.Snapshot().WriteText(os.Stdout); err != nil {
-				return err
-			}
+		if err := out.Finish(os.Stdout); err != nil {
+			return err
 		}
 		if *sloPath != "" && breaches > 0 {
 			return fmt.Errorf("SLO breached at %d of %d availability points", breaches, len(pts))
@@ -509,7 +412,7 @@ func scenario(args []string) error {
 	cycles := fs.Int("cycles", 12, "number of wake-up cycles to record")
 	hiveID := fs.String("hive", "apiary-1", "hive id for the ledger entries")
 	ledgerPath := fs.String("ledger", "", "write the energy ledger to this JSONL file (required)")
-	return profiled(fs, args, func() error {
+	return prof.Run(fs, args, func() error {
 		if *ledgerPath == "" {
 			return errors.New("scenario needs -ledger out.jsonl")
 		}
@@ -550,46 +453,22 @@ func scenario(args []string) error {
 		drainJ := float64(cycle.EdgeEnergy()) * float64(*cycles)
 		lg.SetStore(*hiveID, "battery", initialJ, initialJ-drainJ)
 
-		if err := writeFile(*ledgerPath, func(f *os.File) error { return lg.WriteJSONL(f) }); err != nil {
-			return err
-		}
 		fmt.Printf("scenario: %s, %s, %d cycle(s) of %v\n",
 			spec.Model, spec.Placement, *cycles, *period)
 		fmt.Printf("  edge energy:  %v (%v per cycle)\n",
 			cycle.EdgeEnergy()*units.Joules(*cycles), cycle.EdgeEnergy())
 		fmt.Printf("  cloud energy: %v (%v per cycle)\n",
 			cycle.CloudEnergy()*units.Joules(*cycles), cycle.CloudEnergy())
-		fmt.Printf("  %d ledger entries written to %s (inspect with hivereport)\n",
-			lg.Len(), *ledgerPath)
-		rep := ledger.Audit(lg, ledger.DefaultTolerance())
-		fmt.Printf("  %s\n", rep.String())
-		if !rep.OK() {
-			for _, v := range rep.Violations {
-				fmt.Printf("    %s\n", v.String())
-			}
-			return fmt.Errorf("conservation audit failed with %d violation(s)", len(rep.Violations))
+		if err := report.WriteLedger(os.Stdout, "  ", *ledgerPath, lg); err != nil {
+			return err
 		}
-		return nil
+		return ledger.Audit(lg, ledger.DefaultTolerance()).Verdict(os.Stdout, "  ")
 	})
 }
 
 // scenarioBatteryWh is the paper's 74 Wh battery, the initial charge
 // assumed by the scenario subcommand's store delta.
 const scenarioBatteryWh = 74
-
-// writeFile creates path, runs write, and closes the file, folding in
-// the close error (where a failing flush would otherwise vanish).
-func writeFile(path string, write func(f *os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
 
 func render(title string, pts []experiments.SweepPoint, csvPath string) error {
 	edge, cloud, servers, err := experiments.SweepSeries(pts)
@@ -635,12 +514,10 @@ func render(title string, pts []experiments.SweepPoint, csvPath string) error {
 	}
 
 	if csvPath != "" {
-		f, err := os.Create(csvPath)
+		err := report.WriteFile(csvPath, func(w io.Writer) error {
+			return report.WriteSeriesCSV(w, "clients", edge, cloud, servers)
+		})
 		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := report.WriteSeriesCSV(f, "clients", edge, cloud, servers); err != nil {
 			return err
 		}
 		fmt.Printf("\nseries written to %s\n", csvPath)

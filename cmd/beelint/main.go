@@ -45,7 +45,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("beelint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dir := fs.String("C", "", "module root (default: nearest go.mod above the working directory)")
-	asJSON := fs.Bool("json", false, "emit findings as a JSON array (alias for -format json)")
 	format := fs.String("format", "text", "output format: text, json, or sarif")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	local := fs.Bool("local", false, "file-local analysis only (skip the interprocedural pass)")
@@ -64,9 +63,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *asJSON {
-		*format = "json"
 	}
 	switch *format {
 	case "text", "json", "sarif":

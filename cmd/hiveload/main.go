@@ -10,7 +10,7 @@
 //	              [-max-servers 64] [-seed S] [-csv knee.csv]
 //	hiveload schedule -spec fleet.json [-workers N] [-n 0]
 //	hiveload run -spec fleet.json (-addr host:port[,host:port...] | -local N)
-//	             [-workers N] [-sleep-scale 0] [-stall-ms 0]
+//	             [-workers N] [-sleep-scale 0]
 //
 // plan and schedule are deterministic: same spec + seed = byte-identical
 // stdout at any -workers. run talks to real servers, so its measured
@@ -31,6 +31,7 @@ import (
 	"beesim/internal/hivenet"
 	"beesim/internal/loadgen"
 	"beesim/internal/obs"
+	"beesim/internal/report"
 	"beesim/internal/slo"
 )
 
@@ -64,11 +65,12 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   hiveload plan -spec fleet.json -slo slo.json [-workers N] [-max-servers 64] [-seed S] [-csv knee.csv]
   hiveload schedule -spec fleet.json [-workers N] [-n 0]
-  hiveload run -spec fleet.json (-addr host:port[,...] | -local N) [-workers N] [-sleep-scale 0] [-stall-ms 0]`)
+  hiveload run -spec fleet.json (-addr host:port[,...] | -local N) [-workers N] [-sleep-scale 0]`)
 }
 
-// loadSpec loads the -spec file with an optional seed override.
-func loadSpec(path string, seed uint64, seedSet bool) (loadgen.LoadSpec, error) {
+// loadSpec loads the -spec file; seed overrides the spec's seed when
+// fs has a -seed flag and it was set.
+func loadSpec(fs *flag.FlagSet, path string, seed uint64) (loadgen.LoadSpec, error) {
 	if path == "" {
 		return loadgen.LoadSpec{}, fmt.Errorf("-spec is required")
 	}
@@ -76,9 +78,11 @@ func loadSpec(path string, seed uint64, seedSet bool) (loadgen.LoadSpec, error) 
 	if err != nil {
 		return loadgen.LoadSpec{}, err
 	}
-	if seedSet {
-		spec.Seed = seed
-	}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			spec.Seed = seed
+		}
+	})
 	return spec, nil
 }
 
@@ -93,13 +97,7 @@ func plan(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	seedSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			seedSet = true
-		}
-	})
-	spec, err := loadSpec(*specPath, *seed, seedSet)
+	spec, err := loadSpec(fs, *specPath, *seed)
 	if err != nil {
 		return err
 	}
@@ -114,7 +112,7 @@ func plan(args []string) error {
 	if err != nil {
 		return err
 	}
-	report, err := loadgen.Plan(spec, evs, sloSpec, loadgen.PlanOptions{
+	rep, err := loadgen.Plan(spec, evs, sloSpec, loadgen.PlanOptions{
 		MaxServers: *maxServers,
 		Workers:    *workers,
 	})
@@ -123,19 +121,11 @@ func plan(args []string) error {
 	}
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
-	if err := report.WriteText(out); err != nil {
+	if err := rep.WriteText(out); err != nil {
 		return err
 	}
 	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			return err
-		}
-		if err := report.WriteKneeCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+		return report.WriteFile(*csvPath, rep.WriteKneeCSV)
 	}
 	return nil
 }
@@ -149,13 +139,7 @@ func schedule(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	seedSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			seedSet = true
-		}
-	})
-	spec, err := loadSpec(*specPath, *seed, seedSet)
+	spec, err := loadSpec(fs, *specPath, *seed)
 	if err != nil {
 		return err
 	}
@@ -178,11 +162,10 @@ func run(args []string) error {
 	local := fs.Int("local", 0, "boot N in-process server shards instead of dialing -addr")
 	workers := fs.Int("workers", 0, "concurrent hive session bound (0 = GOMAXPROCS)")
 	sleepScale := fs.Float64("sleep-scale", 0, "scale real retry-backoff sleeps (0 = retry immediately)")
-	stallMS := fs.Float64("stall-ms", -1, "override the spec's per-upload server stall for -local shards")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec, err := loadSpec(*specPath, 0, false)
+	spec, err := loadSpec(fs, *specPath, 0)
 	if err != nil {
 		return err
 	}
@@ -191,9 +174,6 @@ func run(args []string) error {
 	var servers []*hivenet.Server
 	switch {
 	case *local > 0:
-		if *stallMS >= 0 {
-			spec.Server.StallMS = *stallMS
-		}
 		var closeAll func()
 		servers, addrs, dashes, closeAll, err = bootLocal(spec, *local)
 		if err != nil {

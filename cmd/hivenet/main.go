@@ -32,8 +32,9 @@ import (
 	"beesim/internal/hivenet"
 	"beesim/internal/ledger"
 	"beesim/internal/obs"
-	"beesim/internal/slo"
+	"beesim/internal/report"
 	"beesim/internal/routine"
+	"beesim/internal/slo"
 )
 
 func main() {
@@ -182,15 +183,7 @@ func agent(args []string) error {
 	fmt.Printf("edge energy spent (active tasks): %v over %d cycles\n",
 		a.EdgeEnergy(), a.Cycles())
 	if tr != nil {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			return err
-		}
-		if err := tr.WriteJSON(f); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := report.WriteFile(*tracePath, tr.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Printf("trace written to %s (last trace id %s)\n", *tracePath, a.LastTraceID())

@@ -102,12 +102,16 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *csvPath != "" {
-		if err := writeCSV(*csvPath, ledger.Breakdown(lg.Entries(), *hive)); err != nil {
+		rows := ledger.Breakdown(lg.Entries(), *hive)
+		err := report.WriteFile(*csvPath, func(w io.Writer) error {
+			return report.WriteLedgerCSV(w, rows)
+		})
+		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "wrote %s\n\n", *csvPath)
 	}
-	return printAudit(out, lg, ledger.Tolerance{AbsJ: *tolAbs, Rel: *tolRel})
+	return ledger.Audit(lg, ledger.Tolerance{AbsJ: *tolAbs, Rel: *tolRel}).Verdict(out, "")
 }
 
 // runSLO is the offline SLO gate: spec + snapshot and/or ledger in, a
@@ -168,11 +172,7 @@ func runSLO(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if !rep.Pass() {
-		return fmt.Errorf("SLO %q breached: %d of %d objectives failing",
-			spec.Name, rep.Breaches(), len(rep.Results))
-	}
-	return nil
+	return rep.Err()
 }
 
 func loadLedger(path string) (lg *ledger.Ledger, err error) {
@@ -231,22 +231,6 @@ func printBreakdown(out io.Writer, lg *ledger.Ledger, hive string) error {
 	return nil
 }
 
-func printAudit(out io.Writer, lg *ledger.Ledger, tol ledger.Tolerance) error {
-	rep := ledger.Audit(lg, tol)
-	if _, err := fmt.Fprintln(out, rep.String()); err != nil {
-		return err
-	}
-	if rep.OK() {
-		return nil
-	}
-	for _, v := range rep.Violations {
-		if _, err := fmt.Fprintln(out, " ", v.String()); err != nil {
-			return err
-		}
-	}
-	return fmt.Errorf("conservation audit failed with %d violation(s)", len(rep.Violations))
-}
-
 func printDiff(out io.Writer, nameA, nameB string, a, b *ledger.Ledger) error {
 	rows := ledger.Diff(a.Entries(), b.Entries())
 	tbl := report.NewTable(fmt.Sprintf("Run diff — A=%s  B=%s", nameA, nameB),
@@ -276,15 +260,4 @@ func percentChange(a, b float64) float64 {
 		return 0
 	}
 	return 100 * (b - a) / a
-}
-
-func writeCSV(path string, rows []ledger.Row) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		err = errors.Join(err, f.Close())
-	}()
-	return report.WriteLedgerCSV(f, rows)
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"beesim/internal/ledger"
+	"beesim/internal/report"
 )
 
 var t0 = time.Date(2023, 4, 10, 0, 0, 0, 0, time.UTC)
@@ -18,14 +19,7 @@ func writeLedgerFile(t *testing.T, name string, build func(lg *ledger.Ledger)) s
 	lg := ledger.New()
 	build(lg)
 	path := filepath.Join(t.TempDir(), name)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lg.WriteJSONL(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := report.WriteFile(path, lg.WriteJSONL); err != nil {
 		t.Fatal(err)
 	}
 	return path

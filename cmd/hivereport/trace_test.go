@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"beesim/internal/obs"
+	"beesim/internal/report"
 )
 
 func writeTraceFile(t *testing.T, name string, hives int) (string, string) {
@@ -30,25 +31,11 @@ func writeTraceFile(t *testing.T, name string, hives int) (string, string) {
 	}
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, name)
-	f, err := os.Create(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := report.WriteFile(tracePath, tr.WriteJSON); err != nil {
 		t.Fatal(err)
 	}
 	snapPath := filepath.Join(dir, "snap.json")
-	sf, err := os.Create(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Snapshot().WriteJSON(sf); err != nil {
-		t.Fatal(err)
-	}
-	if err := sf.Close(); err != nil {
+	if err := report.WriteFile(snapPath, m.Snapshot().WriteJSON); err != nil {
 		t.Fatal(err)
 	}
 	return tracePath, snapPath

@@ -39,6 +39,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -57,9 +58,6 @@ import (
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return
-		}
 		fmt.Fprintln(os.Stderr, "hivetrace:", err)
 		var ue usageError
 		if errors.As(err, &ue) {
@@ -69,24 +67,22 @@ func main() {
 	}
 }
 
-// usageError marks bad invocations (exit 2, like flag parse errors)
-// as opposed to runtime failures (exit 1).
+// usageError marks bad invocations (exit 2, like the flag parse errors
+// the flag set exits with) as opposed to runtime failures (exit 1).
 type usageError string
 
 func (e usageError) Error() string { return string(e) }
 
-func run(args []string) (err error) {
-	fs := flag.NewFlagSet("hivetrace", flag.ContinueOnError)
+func run(args []string) error {
+	fs := flag.NewFlagSet("hivetrace", flag.ExitOnError)
 	days := fs.Int("days", 7, "days to simulate")
 	wake := fs.Duration("wake", 10*time.Minute, "recorder wake-up period")
 	site := fs.String("site", "cachan", "deployment site: cachan or lyon")
 	csvPath := fs.String("csv", "", "write the trace series to this CSV file")
-	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON timeline to this file")
+	out := report.RegisterExports(fs)
 	traceEvents := fs.Bool("trace-events", false, "include every DES engine event in the trace (verbose)")
-	metrics := fs.Bool("metrics", false, "print the metrics snapshot after the summary")
 	metricsCSV := fs.String("metrics-csv", "", "write the metrics snapshot to this CSV file")
 	metricsJSON := fs.String("metrics-json", "", "write the metrics snapshot to this JSON file (exemplars included; feeds hivereport trace -metrics)")
-	ledgerPath := fs.String("ledger", "", "write the energy ledger to this JSONL file and audit it")
 	flight := fs.Int("flight", 0, "flight-recorder mode: retain only the last N ledger entries, dump to stderr on battery cutoff")
 	empty := fs.Bool("empty", false, "simulate an empty hive (no colony yet)")
 	noBrownout := fs.Bool("no-brownout", false, "disable the night bus brownout")
@@ -94,209 +90,166 @@ func run(args []string) (err error) {
 	sloPath := fs.String("slo", "", "evaluate the SLO spec from this JSON file after the run (exit nonzero on breach)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	replicas := fs.Int("replicas", 0, "run an N-replica ensemble (seeds derived per replica) instead of a single trace")
-	workers := fs.Int("workers", 0, "worker goroutines for parallel evaluation (0 = all CPUs, 1 = serial)")
-	profiler := prof.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
+	return prof.Run(fs, args, func() error {
+		cfg := deployment.DefaultConfig()
+		cfg.Days = *days
+		cfg.WakePeriod = *wake
+		cfg.Seed = *seed
+		cfg.NightBrownout = !*noBrownout
+		switch *site {
+		case "cachan":
+			cfg.Location = solar.Cachan
+		case "lyon":
+			cfg.Location = solar.Lyon
+		default:
+			return usageError(fmt.Sprintf("unknown site %q", *site))
 		}
-		return usageError(err.Error())
-	}
-	parallel.SetDefault(*workers)
-	if err := profiler.Start(); err != nil {
-		return err
-	}
-	defer func() {
-		err = errors.Join(err, profiler.Stop())
-	}()
+		if *empty {
+			cfg.Colony.Population = 0
+		}
+		if *faultsPath != "" {
+			plan, err := faults.LoadPlan(*faultsPath)
+			if err != nil {
+				return err
+			}
+			cfg.Faults = &plan
+		}
+		var spec slo.Spec
+		if *sloPath != "" {
+			if *flight > 0 {
+				return usageError("-slo needs the full ledger; it cannot be combined with the -flight ring")
+			}
+			var err error
+			if spec, err = slo.LoadSpec(*sloPath); err != nil {
+				return err
+			}
+		}
+		out.Arm(cfg.Start)
+		if *replicas > 0 {
+			if out.Metrics != nil || out.Tracer != nil || out.Ledger != nil || *metricsCSV != "" || *metricsJSON != "" || *csvPath != "" || *flight > 0 || *sloPath != "" {
+				return usageError("-replicas is a summary ensemble; it cannot be combined with -csv, -trace, -metrics, -metrics-csv, -metrics-json, -ledger, -flight or -slo")
+			}
+			return runEnsemble(cfg, *replicas)
+		}
+		if out.Metrics == nil && (*metricsCSV != "" || *metricsJSON != "" || *sloPath != "") {
+			// -slo needs the metrics registry armed even when the snapshot
+			// is not otherwise printed: latency objectives read histograms.
+			out.Metrics = obs.NewRegistry()
+		}
+		switch {
+		case *flight > 0:
+			lg, err := ledger.NewRing(*flight)
+			if err != nil {
+				return err
+			}
+			lg.AutoDump(os.Stderr)
+			out.Ledger = lg
+		case out.Ledger == nil && *sloPath != "":
+			// -slo also needs the full ledger: energy objectives sum its
+			// consume entries.
+			out.Ledger = ledger.New()
+		}
+		cfg.Metrics, cfg.Tracer, cfg.Ledger = out.Metrics, out.Tracer, out.Ledger
+		cfg.TraceEngineEvents = *traceEvents && out.Tracer != nil
 
-	cfg := deployment.DefaultConfig()
-	cfg.Days = *days
-	cfg.WakePeriod = *wake
-	cfg.Seed = *seed
-	cfg.NightBrownout = !*noBrownout
-	switch *site {
-	case "cachan":
-		cfg.Location = solar.Cachan
-	case "lyon":
-		cfg.Location = solar.Lyon
-	default:
-		return usageError(fmt.Sprintf("unknown site %q", *site))
-	}
-	if *empty {
-		cfg.Colony.Population = 0
-	}
-	if *faultsPath != "" {
-		plan, err := faults.LoadPlan(*faultsPath)
+		tr, err := deployment.Run(cfg)
 		if err != nil {
 			return err
 		}
-		cfg.Faults = &plan
-	}
-	var spec slo.Spec
-	if *sloPath != "" {
-		if *flight > 0 {
-			return usageError("-slo needs the full ledger; it cannot be combined with the -flight ring")
+
+		fmt.Printf("hive trace: %s, %d day(s), wake every %v\n\n", cfg.Location.Name, cfg.Days, cfg.WakePeriod)
+		fmt.Printf("  completed routines:   %6d\n", tr.Wakeups)
+		fmt.Printf("  missed wake-ups:      %6d (system down)\n", tr.MissedWakeups)
+		fmt.Printf("  outages:              %6d\n", tr.Outages)
+		fmt.Printf("  recorder energy:      %v\n", tr.RecorderEnergy)
+		fmt.Printf("  monitor energy:       %v\n", tr.MonitorEnergy)
+		fmt.Printf("  harvested energy:     %v\n", tr.HarvestedEnergy)
+
+		if cfg.Faults != nil {
+			fmt.Printf("\n  faults (plan seed %d):\n", cfg.Faults.Seed)
+			fmt.Printf("    upload retries:     %6d (%v radio energy)\n", tr.UploadRetries, tr.RetryEnergy)
+			fmt.Printf("    failed uploads:     %6d\n", tr.FailedUploads)
+			fmt.Printf("    flushed from queue: %6d\n", tr.FlushedUploads)
+			fmt.Printf("    still buffered:     %6d\n", tr.BufferedUploads)
+			fmt.Printf("    dropped uploads:    %6d\n", tr.DroppedUploads)
+			fmt.Printf("    sensor dropouts:    %6d\n", tr.SensorDropouts)
+			fmt.Printf("    battery brownouts:  %6d\n", tr.Brownouts)
 		}
-		spec, err = slo.LoadSpec(*sloPath)
-		if err != nil {
+
+		if gaps := tr.RecorderPower.Gaps(2 * time.Hour); len(gaps) > 0 {
+			fmt.Printf("\n  night gaps (recorder down > 2 h):\n")
+			for _, g := range gaps {
+				fmt.Printf("    %s -> %s (%v)\n",
+					g.Start.Format("Jan 02 15:04"), g.End.Format("Jan 02 15:04"),
+					g.End.Sub(g.Start).Round(time.Minute))
+			}
+		}
+
+		if st, en := tr.InsideTemp.Span(); !st.IsZero() {
+			var sum float64
+			for _, p := range tr.InsideTemp.Points() {
+				sum += p.V
+			}
+			fmt.Printf("\n  inside temperature: mean %.1f C over %s..%s\n",
+				sum/float64(tr.InsideTemp.Len()),
+				st.Format("Jan 02"), en.Format("Jan 02"))
+		}
+
+		if *csvPath != "" {
+			err := report.WriteFile(*csvPath, func(w io.Writer) error {
+				return timeseries.WriteCSV(w, tr.RecorderPower, tr.PanelPower, tr.BatterySoC,
+					tr.InsideTemp, tr.InsideHumidity, tr.OutsideTemp, tr.OutsideHumidity)
+			})
+			if err != nil {
+				return err
+			}
+			fmt.Printf("\n  trace written to %s\n", *csvPath)
+		}
+
+		if err := out.WriteFiles(os.Stdout, "\n  "); err != nil {
 			return err
 		}
-	}
-	if *replicas > 0 {
-		if *metrics || *metricsCSV != "" || *metricsJSON != "" || *tracePath != "" || *ledgerPath != "" || *csvPath != "" || *flight > 0 || *sloPath != "" {
-			return usageError("-replicas is a summary ensemble; it cannot be combined with -csv, -trace, -metrics, -metrics-csv, -metrics-json, -ledger, -flight or -slo")
-		}
-		return runEnsemble(cfg, *replicas)
-	}
-	if *metrics || *metricsCSV != "" || *metricsJSON != "" || *sloPath != "" {
-		// -slo needs the metrics registry armed even when the snapshot
-		// is not otherwise printed: latency objectives read histograms.
-		cfg.Metrics = obs.NewRegistry()
-	}
-	if *tracePath != "" {
-		cfg.Tracer = obs.NewTracer(cfg.Start)
-		cfg.TraceEngineEvents = *traceEvents
-	}
-	switch {
-	case *flight > 0:
-		lg, err := ledger.NewRing(*flight)
-		if err != nil {
-			return err
-		}
-		lg.AutoDump(os.Stderr)
-		cfg.Ledger = lg
-	case *ledgerPath != "" || *sloPath != "":
-		// -slo also needs the full ledger: energy objectives sum its
-		// consume entries.
-		cfg.Ledger = ledger.New()
-	}
 
-	tr, err := deployment.Run(cfg)
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("hive trace: %s, %d day(s), wake every %v\n\n", cfg.Location.Name, cfg.Days, cfg.WakePeriod)
-	fmt.Printf("  completed routines:   %6d\n", tr.Wakeups)
-	fmt.Printf("  missed wake-ups:      %6d (system down)\n", tr.MissedWakeups)
-	fmt.Printf("  outages:              %6d\n", tr.Outages)
-	fmt.Printf("  recorder energy:      %v\n", tr.RecorderEnergy)
-	fmt.Printf("  monitor energy:       %v\n", tr.MonitorEnergy)
-	fmt.Printf("  harvested energy:     %v\n", tr.HarvestedEnergy)
-
-	if cfg.Faults != nil {
-		fmt.Printf("\n  faults (plan seed %d):\n", cfg.Faults.Seed)
-		fmt.Printf("    upload retries:     %6d (%v radio energy)\n", tr.UploadRetries, tr.RetryEnergy)
-		fmt.Printf("    failed uploads:     %6d\n", tr.FailedUploads)
-		fmt.Printf("    flushed from queue: %6d\n", tr.FlushedUploads)
-		fmt.Printf("    still buffered:     %6d\n", tr.BufferedUploads)
-		fmt.Printf("    dropped uploads:    %6d\n", tr.DroppedUploads)
-		fmt.Printf("    sensor dropouts:    %6d\n", tr.SensorDropouts)
-		fmt.Printf("    battery brownouts:  %6d\n", tr.Brownouts)
-	}
-
-	if gaps := tr.RecorderPower.Gaps(2 * time.Hour); len(gaps) > 0 {
-		fmt.Printf("\n  night gaps (recorder down > 2 h):\n")
-		for _, g := range gaps {
-			fmt.Printf("    %s -> %s (%v)\n",
-				g.Start.Format("Jan 02 15:04"), g.End.Format("Jan 02 15:04"),
-				g.End.Sub(g.Start).Round(time.Minute))
-		}
-	}
-
-	if st, en := tr.InsideTemp.Span(); !st.IsZero() {
-		var sum float64
-		for _, p := range tr.InsideTemp.Points() {
-			sum += p.V
-		}
-		fmt.Printf("\n  inside temperature: mean %.1f C over %s..%s\n",
-			sum/float64(tr.InsideTemp.Len()),
-			st.Format("Jan 02"), en.Format("Jan 02"))
-	}
-
-	if *csvPath != "" {
-		err := writeFile(*csvPath, func(f *os.File) error {
-			return timeseries.WriteCSV(f, tr.RecorderPower, tr.PanelPower, tr.BatterySoC,
-				tr.InsideTemp, tr.InsideHumidity, tr.OutsideTemp, tr.OutsideHumidity)
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\n  trace written to %s\n", *csvPath)
-	}
-
-	if *tracePath != "" {
-		err := writeFile(*tracePath, func(f *os.File) error {
-			return cfg.Tracer.WriteJSON(f)
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\n  %d trace events written to %s (open at ui.perfetto.dev)\n",
-			cfg.Tracer.Len(), *tracePath)
-	}
-
-	if *ledgerPath != "" {
-		err := writeFile(*ledgerPath, func(f *os.File) error {
-			return cfg.Ledger.WriteJSONL(f)
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\n  %d ledger entries written to %s (inspect with hivereport)\n",
-			cfg.Ledger.Len(), *ledgerPath)
-	}
-
-	if cfg.Ledger != nil {
 		if *flight > 0 {
 			// A ring sees only a window of the flows, so a conservation
 			// audit over it is not meaningful; report retention instead.
 			fmt.Printf("\n  flight recorder: %d of %d entries retained, %d trip(s)\n",
 				cfg.Ledger.Len(), cfg.Ledger.Total(), cfg.Ledger.Trips())
-		} else {
-			rep, tripErr := ledger.AuditTrip(cfg.Ledger, ledger.DefaultTolerance())
-			if tripErr != nil {
-				return tripErr
+		} else if cfg.Ledger != nil {
+			rep, err := ledger.AuditTrip(cfg.Ledger, ledger.DefaultTolerance())
+			if err != nil {
+				return err
 			}
-			fmt.Printf("\n  %s\n", rep.String())
-			for _, v := range rep.Violations {
-				fmt.Printf("    %s\n", v.String())
-			}
-			if !rep.OK() {
-				return fmt.Errorf("conservation audit failed with %d violation(s)", len(rep.Violations))
+			fmt.Println()
+			if err := rep.Verdict(os.Stdout, "  "); err != nil {
+				return err
 			}
 		}
-	}
 
-	if *metricsCSV != "" {
-		err := writeFile(*metricsCSV, func(f *os.File) error {
-			return report.WriteMetricsCSV(f, cfg.Metrics.Snapshot())
-		})
-		if err != nil {
+		if *metricsCSV != "" {
+			err := report.WriteFile(*metricsCSV, func(w io.Writer) error {
+				return report.WriteMetricsCSV(w, cfg.Metrics.Snapshot())
+			})
+			if err != nil {
+				return err
+			}
+			fmt.Printf("\n  metrics written to %s\n", *metricsCSV)
+		}
+
+		if *metricsJSON != "" {
+			if err := report.WriteFile(*metricsJSON, cfg.Metrics.Snapshot().WriteJSON); err != nil {
+				return err
+			}
+			fmt.Printf("\n  metrics written to %s\n", *metricsJSON)
+		}
+
+		if err := out.PrintMetrics(os.Stdout); err != nil {
 			return err
 		}
-		fmt.Printf("\n  metrics written to %s\n", *metricsCSV)
-	}
 
-	if *metricsJSON != "" {
-		err := writeFile(*metricsJSON, func(f *os.File) error {
-			return cfg.Metrics.Snapshot().WriteJSON(f)
-		})
-		if err != nil {
-			return err
+		if *sloPath == "" {
+			return nil
 		}
-		fmt.Printf("\n  metrics written to %s\n", *metricsJSON)
-	}
-
-	if *metrics {
-		fmt.Printf("\nmetrics:\n")
-		if err := cfg.Metrics.Snapshot().WriteText(os.Stdout); err != nil {
-			return err
-		}
-	}
-
-	if *sloPath != "" {
 		rep, err := slo.Evaluate(spec, slo.Input{
 			Snapshot: cfg.Metrics.Snapshot(),
 			Entries:  cfg.Ledger.Entries(),
@@ -309,12 +262,8 @@ func run(args []string) (err error) {
 		if err := rep.WriteText(os.Stdout); err != nil {
 			return err
 		}
-		if !rep.Pass() {
-			return fmt.Errorf("SLO %q breached: %d of %d objectives failing",
-				spec.Name, rep.Breaches(), len(rep.Results))
-		}
-	}
-	return nil
+		return rep.Err()
+	})
 }
 
 // runEnsemble fans n deployment replicas (per-replica derived seeds)
@@ -354,19 +303,4 @@ func runEnsemble(cfg deployment.Config, n int) error {
 	fmt.Printf("  recorder:  %.0f J +/- %.0f J\n", recorder.Mean(), recorder.StdDev())
 	fmt.Printf("  harvest:   %.0f J +/- %.0f J\n", harvest.Mean(), harvest.StdDev())
 	return nil
-}
-
-// writeFile creates path, runs write, and closes the file, reporting
-// the first error — including the close error, which is where a full
-// disk or failing flush would otherwise vanish silently.
-func writeFile(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -155,12 +156,10 @@ func fig5(args []string) error {
 		return err
 	}
 	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
+		err := report.WriteFile(*csvPath, func(w io.Writer) error {
+			return report.WriteSeriesCSV(w, "input size", acc, energy)
+		})
 		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := report.WriteSeriesCSV(f, "input size", acc, energy); err != nil {
 			return err
 		}
 		fmt.Printf("\nseries written to %s\n", *csvPath)
@@ -198,12 +197,10 @@ func synth(args []string) error {
 		return err
 	}
 	clip := s.Clip(q, *activity)
-	f, err := os.Create(*out)
+	err = report.WriteFile(*out, func(w io.Writer) error {
+		return audio.WriteWAV(w, clip, audio.SampleRate)
+	})
 	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := audio.WriteWAV(f, clip, audio.SampleRate); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %.0f s of %s hive sound to %s\n", *seconds, q, *out)

@@ -12,6 +12,7 @@ package ledger
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sort"
 )
@@ -88,6 +89,24 @@ func (r AuditReport) String() string {
 	}
 	return fmt.Sprintf("conservation audit: %d violation(s) over %d store(s)",
 		len(r.Violations), r.StoresChecked)
+}
+
+// Verdict writes the summary line and one line per violation to w,
+// each violation indented two spaces under the summary, and returns an
+// error counting the violations when the audit failed.
+func (r AuditReport) Verdict(w io.Writer, indent string) error {
+	if _, err := fmt.Fprintf(w, "%s%s\n", indent, r.String()); err != nil {
+		return err
+	}
+	for _, v := range r.Violations {
+		if _, err := fmt.Fprintf(w, "%s  %s\n", indent, v.String()); err != nil {
+			return err
+		}
+	}
+	if !r.OK() {
+		return fmt.Errorf("conservation audit failed with %d violation(s)", len(r.Violations))
+	}
+	return nil
 }
 
 type balance struct {

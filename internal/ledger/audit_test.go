@@ -196,3 +196,41 @@ func TestAuditTripFiresFlightRecorder(t *testing.T) {
 		t.Fatalf("clean ledger tripped %d time(s)", clean.Trips())
 	}
 }
+
+// TestAuditVerdict: the verdict prints the summary and every violation
+// under it, and fails with the violation count; a clean audit prints
+// only the summary.
+func TestAuditVerdict(t *testing.T) {
+	l := New()
+	l.Append(entry(0, "h1", "battery", "pack", "charge", Harvest, 10))
+	l.Append(entry(1, "h2", "edge", "pi3b", "Sleep", Consume, 10))
+	l.SetStore("h1", "battery", 0, 0) // 10 J harvested, never stored
+	l.SetStore("h2", "battery", 0, 0) // 10 J consumed from nowhere
+	var buf bytes.Buffer
+	err := Audit(l, DefaultTolerance()).Verdict(&buf, "> ")
+	if err == nil || err.Error() != "conservation audit failed with 2 violation(s)" {
+		t.Fatalf("err = %v", err)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("want summary + 2 violations, got:\n%s", buf.String())
+	}
+	if lines[0] != "> conservation audit: 2 violation(s) over 2 store(s)" {
+		t.Fatalf("summary = %q", lines[0])
+	}
+	for i, hive := range []string{"h1", "h2"} {
+		if want := `>   hive "` + hive + `" store "battery"`; !strings.HasPrefix(lines[i+1], want) {
+			t.Fatalf("violation line %d = %q, want prefix %q", i, lines[i+1], want)
+		}
+	}
+
+	buf.Reset()
+	l.SetStore("h1", "battery", 0, 10)
+	l.SetStore("h2", "battery", 10, 0)
+	if err := Audit(l, DefaultTolerance()).Verdict(&buf, ""); err != nil {
+		t.Fatalf("balanced books: %v", err)
+	}
+	if got := buf.String(); got != "conservation audit: ok (2 store(s), 2 entries balanced, 0 attribution-only)\n" {
+		t.Fatalf("clean verdict = %q", got)
+	}
+}

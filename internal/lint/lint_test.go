@@ -274,7 +274,7 @@ func TestMalformedDirectives(t *testing.T) {
 
 // TestFindingsDeterministic re-runs the whole fixture corpus on a
 // fresh loader and requires byte-identical JSON, the same contract
-// cmd/beelint -json exposes.
+// cmd/beelint -format json exposes.
 func TestFindingsDeterministic(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {

@@ -8,7 +8,8 @@
 //
 // Stop returns file close errors instead of swallowing them, so a full
 // disk surfaces in the CLI's exit code rather than as a silently
-// truncated profile.
+// truncated profile. Run does all of that, plus the -workers flag, for
+// a subcommand's flag set in one call.
 package prof
 
 import (
@@ -18,6 +19,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+
+	"beesim/internal/parallel"
 )
 
 // Profiler holds the flag values and the open CPU profile file.
@@ -34,6 +37,27 @@ func Register(fs *flag.FlagSet) *Profiler {
 		cpuPath: fs.String("cpuprofile", "", "write a CPU profile to this file"),
 		memPath: fs.String("memprofile", "", "write a heap profile to this file on exit"),
 	}
+}
+
+// Run adds -cpuprofile, -memprofile and -workers to fs, parses args,
+// makes -workers the process-wide parallel default (output is
+// byte-identical for every worker count), and runs body between Start
+// and Stop, folding Stop's errors into the returned error.
+func Run(fs *flag.FlagSet, args []string, body func() error) (err error) {
+	p := Register(fs)
+	workers := fs.Int("workers", 0,
+		"worker goroutines for parallel evaluation (0 = all CPUs, 1 = serial)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	parallel.SetDefault(*workers)
+	if err := p.Start(); err != nil {
+		return err
+	}
+	defer func() {
+		err = errors.Join(err, p.Stop())
+	}()
+	return body()
 }
 
 // Start begins CPU profiling when -cpuprofile was given. Call after

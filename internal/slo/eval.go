@@ -63,6 +63,16 @@ func (r Report) Breaches() int {
 	return n
 }
 
+// Err is the breach verdict: nil when every objective passed, else an
+// error naming the spec and counting the failing objectives.
+func (r Report) Err() error {
+	if r.Pass() {
+		return nil
+	}
+	return fmt.Errorf("SLO %q breached: %d of %d objectives failing",
+		r.Spec, r.Breaches(), len(r.Results))
+}
+
 // WriteJSON writes the report as one indented JSON object.
 func (r Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

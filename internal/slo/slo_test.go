@@ -112,6 +112,9 @@ func TestEvaluate(t *testing.T) {
 	if !rep.Pass() || rep.Breaches() != 0 {
 		t.Fatalf("report should pass: %+v", rep)
 	}
+	if err := rep.Err(); err != nil {
+		t.Fatalf("passing report verdict = %v", err)
+	}
 }
 
 func TestEvaluateBreaches(t *testing.T) {
@@ -129,6 +132,9 @@ func TestEvaluateBreaches(t *testing.T) {
 	}
 	if rep.Pass() || rep.Breaches() != 2 {
 		t.Fatalf("both objectives should breach: %+v", rep)
+	}
+	if err := rep.Err(); err == nil || err.Error() != `SLO "tight" breached: 2 of 2 objectives failing` {
+		t.Fatalf("breach verdict = %v", err)
 	}
 	for _, res := range rep.Results {
 		if res.Burn <= 1 {

@@ -14,6 +14,7 @@ import (
 	"beesim/internal/dsp"
 	"beesim/internal/experiments"
 	"beesim/internal/optimizer"
+	"beesim/internal/parallel"
 	"beesim/internal/rng"
 	"beesim/internal/services"
 )
@@ -101,15 +102,23 @@ func benchMel(b *testing.B, cold bool) {
 // BenchmarkMelSpectrogramCold rebuilds the Hann window, FFT twiddle
 // tables and mel filterbank every iteration; Cached reuses the
 // memoized tables. The delta is what the (fftSize, nMels, sampleRate)
-// keyed caches save per clip.
-func BenchmarkMelSpectrogramCold(b *testing.B)   { benchMel(b, true) }
-func BenchmarkMelSpectrogramCached(b *testing.B) { benchMel(b, false) }
+// keyed caches save per clip. Cached and Plan run on one worker: their
+// allocs/op baselines count the serial path, and on more than one CPU
+// the frame fan-out adds per-goroutine allocations.
+func BenchmarkMelSpectrogramCold(b *testing.B) { benchMel(b, true) }
+func BenchmarkMelSpectrogramCached(b *testing.B) {
+	parallel.SetDefault(1)
+	defer parallel.SetDefault(0)
+	benchMel(b, false)
+}
 
 // BenchmarkMelSpectrogramPlan is the fully-amortized front end: a
 // prebuilt Plan and a reused destination matrix, the steady-state
 // configuration of a per-clip feature loop. The gap to Cached is the
 // remaining per-call cost of the memo lookups and output allocation.
 func BenchmarkMelSpectrogramPlan(b *testing.B) {
+	parallel.SetDefault(1)
+	defer parallel.SetDefault(0)
 	clip := benchClip(b)
 	plan, err := dsp.PlanFor(dsp.PaperSTFT(), 128, 22050)
 	if err != nil {
