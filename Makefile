@@ -10,8 +10,14 @@ build:
 	$(GO) build ./...
 	$(GO) build -o /dev/null ./cmd/hivereport
 
+# vet also fails on any .go file gofmt would rewrite. The lint -fix
+# fixtures under testdata are unformatted on purpose, and .bench_build
+# holds the benchmark's build outputs.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' \
+		| xargs $$($(GO) env GOROOT)/bin/gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # beelint: the in-tree go/types linter for determinism and unit safety
 # (wall-clock reads, unseeded randomness, map-iteration-order leaks,

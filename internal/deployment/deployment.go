@@ -27,8 +27,8 @@ import (
 	"beesim/internal/routine"
 	"beesim/internal/sensors"
 	"beesim/internal/solar"
-	"beesim/internal/timeseries"
 	"beesim/internal/stats"
+	"beesim/internal/timeseries"
 	"beesim/internal/units"
 	"beesim/internal/weather"
 )

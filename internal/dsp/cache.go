@@ -2,17 +2,18 @@ package dsp
 
 import (
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"sync"
 )
 
 // This file memoizes the shape-invariant precomputations of the
-// pipeline — FFT twiddle factors, Hann windows, mel filterbanks — so
-// repeated queendetect calls with the paper's fixed front end (FFT
-// 2048, hop 512, 128 mels at 22 050 Hz) stop rebuilding them on every
-// clip. All cached values are built once, stored immutable, and shared
-// read-only across goroutines; sync.Map gives the lock-free read path
-// the parallel spectrogram workers hit.
+// pipeline — FFT twiddle factors and bit-reversal swaps, Hann windows,
+// mel filterbanks — so repeated queendetect calls with the paper's
+// fixed front end (FFT 2048, hop 512, 128 mels at 22 050 Hz) stop
+// rebuilding them on every clip. All cached values are built once,
+// stored immutable, and shared read-only across goroutines; sync.Map
+// gives the lock-free read path the parallel spectrogram workers hit.
 //
 // Determinism note: the cached twiddle tables are generated with the
 // exact incremental recurrence (w *= wStep from w = 1) the butterflies
@@ -22,6 +23,7 @@ import (
 
 var (
 	twiddleCache sync.Map // int -> [][]complex128
+	revCache     sync.Map // int -> []int32
 	rfftTwCache  sync.Map // int -> []complex128
 	hannCache    sync.Map // int -> []float64
 	melCache     sync.Map // melKey -> *Matrix
@@ -37,6 +39,7 @@ type melKey struct {
 // measure the cold path; production code never needs it.
 func ResetCaches() {
 	twiddleCache = sync.Map{}
+	revCache = sync.Map{}
 	rfftTwCache = sync.Map{}
 	hannCache = sync.Map{}
 	melCache = sync.Map{}
@@ -50,11 +53,15 @@ func twiddles(n int) [][]complex128 {
 	if v, ok := twiddleCache.Load(n); ok {
 		return v.([][]complex128)
 	}
-	var tables [][]complex128
+	// The stage tables (1, 2, ..., n/2 factors) share one backing array
+	// of n-1, so a cold build costs two allocations, not one per stage.
+	tables := make([][]complex128, 0, bits.TrailingZeros(uint(n)))
+	backing := make([]complex128, n-1)
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
 		wStep := cmplx.Exp(complex(0, -2*math.Pi/float64(size)))
-		t := make([]complex128, half)
+		t := backing[:half:half]
+		backing = backing[half:]
 		w := complex(1, 0)
 		for k := 0; k < half; k++ {
 			t[k] = w
@@ -64,6 +71,26 @@ func twiddles(n int) [][]complex128 {
 	}
 	v, _ := twiddleCache.LoadOrStore(n, tables)
 	return v.([][]complex128)
+}
+
+// bitReversalSwaps returns the bit-reversal permutation of an n-point
+// transform as flattened (i, j) index pairs with i < j, in ascending i:
+// exactly the swaps the per-index bits.Reverse64 scan performs. n must
+// be a power of two >= 2.
+func bitReversalSwaps(n int) []int32 {
+	if v, ok := revCache.Load(n); ok {
+		return v.([]int32)
+	}
+	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	// At most n indices take part in a swap: one allocation.
+	swaps := make([]int32, 0, n)
+	for i := 0; i < n; i++ {
+		if j := int(bits.Reverse64(uint64(i)) >> shift); j > i {
+			swaps = append(swaps, int32(i), int32(j))
+		}
+	}
+	v, _ := revCache.LoadOrStore(n, swaps)
+	return v.([]int32)
 }
 
 // rfftTwiddles returns the untangling factors of an n-point packed real

@@ -10,11 +10,19 @@ package dsp
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 )
 
 // fft computes the in-place radix-2 decimation-in-time fast Fourier
 // transform of x. The length must be a power of two.
+//
+// The butterflies and their order are the textbook loop's, over the
+// memoized per-stage twiddle tables; only the loop shape is tuned. The
+// bit-reversal swaps come from a memoized table, stages 1 and 2 run
+// fused on each 4-element block held in registers, and the later
+// stages walk re-sliced lo/hi halves so the compiler drops the bounds
+// checks. Every butterfly multiplies by its table twiddle, the unit
+// ones too, so the output matches the textbook loop bit for bit,
+// signed zeros included (TestFFTMatchesReference).
 func fft(x []complex128) error {
 	n := len(x)
 	if n == 0 {
@@ -23,33 +31,57 @@ func fft(x []complex128) error {
 	if n&(n-1) != 0 {
 		return errors.New("dsp: FFT length must be a power of two")
 	}
-	// Bit-reversal permutation.
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
 	if n == 1 {
 		return nil
 	}
-	// Danielson-Lanczos butterflies over the memoized per-stage twiddle
-	// tables (bit-identical to the former inline w *= wStep recurrence).
+	swaps := bitReversalSwaps(n)
+	for k := 0; k+1 < len(swaps); k += 2 {
+		i, j := swaps[k], swaps[k+1]
+		x[i], x[j] = x[j], x[i]
+	}
 	tw := twiddles(n)
-	for s, size := 0, 2; size <= n; s, size = s+1, size<<1 {
-		half := size >> 1
-		t := tw[s]
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * t[k]
-				x[start+k] = a + b
-				x[start+k+half] = a - b
+	if n == 2 {
+		a, b := x[0], x[1]*tw[0][0]
+		x[0], x[1] = a+b, a-b
+		return nil
+	}
+	// Stages 1 (size 2) and 2 (size 4), fused per 4-element block.
+	w1, w20, w21 := tw[0][0], tw[1][0], tw[1][1]
+	for start := 0; start+3 < n; start += 4 {
+		blk := x[start : start+4 : start+4]
+		x0, x1, x2, x3 := blk[0], blk[1], blk[2], blk[3]
+		b := x1 * w1
+		x0, x1 = x0+b, x0-b
+		b = x3 * w1
+		x2, x3 = x2+b, x2-b
+		b = x2 * w20
+		blk[0], blk[2] = x0+b, x0-b
+		b = x3 * w21
+		blk[1], blk[3] = x1+b, x1-b
+	}
+	laterStages(x, tw[2:])
+	return nil
+}
+
+// laterStages runs the butterfly stages of size 8 and up, tw holding
+// their twiddle tables in order. It is a function of its own so the
+// register allocator sees only this loop nest: inlined into fft, the
+// inner loop spilled its counter to the stack on every butterfly.
+func laterStages(x []complex128, tw [][]complex128) {
+	for _, t := range tw {
+		half := len(t)
+		for start := 0; start < len(x); start += 2 * half {
+			lo := x[start : start+half]
+			hi := x[start+half : start+2*half]
+			hi = hi[:len(lo)]
+			t := t[:len(lo)]
+			for k, a := range lo {
+				b := hi[k] * t[k]
+				lo[k] = a + b
+				hi[k] = a - b
 			}
 		}
 	}
-	return nil
 }
 
 // RFFTInto computes the FFT of a real signal into dst and returns the

@@ -3,6 +3,7 @@ package dsp
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"testing"
 	"testing/quick"
@@ -28,6 +29,140 @@ func IFFT(x []complex128) error {
 		x[i] = cmplx.Conj(x[i]) * scale
 	}
 	return nil
+}
+
+// fftRef is the textbook radix-2 loop: a bits.Reverse64 per index,
+// then every stage's butterflies in order over the same twiddle
+// tables. fft must match it bit for bit.
+func fftRef(x []complex128) {
+	n := len(x)
+	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	for i := 0; i < n; i++ {
+		j := int(bits.Reverse64(uint64(i)) >> shift)
+		if j > i {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	if n == 1 {
+		return
+	}
+	tw := twiddles(n)
+	for s, size := 0, 2; size <= n; s, size = s+1, size<<1 {
+		half := size >> 1
+		t := tw[s]
+		for start := 0; start < n; start += size {
+			for k := 0; k < half; k++ {
+				a := x[start+k]
+				b := x[start+k+half] * t[k]
+				x[start+k] = a + b
+				x[start+k+half] = a - b
+			}
+		}
+	}
+}
+
+// signedZero returns +0 or -0 with equal odds.
+func signedZero(r *rng.Source) float64 {
+	if r.Float64() < 0.5 {
+		return math.Copysign(0, -1)
+	}
+	return 0
+}
+
+// TestFFTMatchesReference pins the tuned kernel to the plain loop's
+// exact output bits for every power of two from 1 to 8192 on three
+// kinds of input: random normal values, inputs built from exact zeros
+// and negative zeros, and Hann-windowed frames. Only bits from one
+// build are compared: hash goldens would not survive FMA fusion on
+// other architectures.
+func TestFFTMatchesReference(t *testing.T) {
+	r := rng.New(21)
+	kinds := []struct {
+		name string
+		gen  func(n int) [][]complex128
+	}{
+		{"normal", func(n int) [][]complex128 {
+			var xs [][]complex128
+			for rep := 0; rep < 4; rep++ {
+				x := make([]complex128, n)
+				for i := range x {
+					x[i] = complex(r.Norm(), r.Norm())
+				}
+				xs = append(xs, x)
+			}
+			return xs
+		}},
+		{"signed-zeros", func(n int) [][]complex128 {
+			// An all-zero input stays zero through every stage, so each
+			// output zero's sign records the exact operation sequence:
+			// skipping a multiply by a unit twiddle flips some of them.
+			// Sums of zeros turn -0 into +0 within a few stages, so
+			// sizes up to 8 run every sign pattern.
+			var xs [][]complex128
+			negZero := math.Copysign(0, -1)
+			if n <= 8 {
+				for signs := 0; signs < 1<<(2*n); signs++ {
+					x := make([]complex128, n)
+					for i := range x {
+						re, im := 0.0, 0.0
+						if signs>>(2*i)&1 != 0 {
+							re = negZero
+						}
+						if signs>>(2*i+1)&1 != 0 {
+							im = negZero
+						}
+						x[i] = complex(re, im)
+					}
+					xs = append(xs, x)
+				}
+			}
+			// In the unit-twiddle lane, a -0 imaginary part survives
+			// (-0*1 + -0 = -0) while the upper half's sum is negative,
+			// and turns +0 (+0 + -0) once it is positive. So for each
+			// stage s: negative reals over -0 imaginary parts, plus one
+			// large positive sample that bit reversal places in the
+			// upper half first at stage s. A skipped unit multiply at
+			// any stage then flips the sign of the DC bin's zero.
+			for size := 2; size <= n; size <<= 1 {
+				x := make([]complex128, n)
+				for i := range x {
+					x[i] = complex(-0.1-math.Abs(r.Norm()), negZero)
+				}
+				x[n/size] = complex(float64(10*n), negZero)
+				xs = append(xs, x)
+			}
+			return xs
+		}},
+		{"hann-frame", func(n int) [][]complex128 {
+			w := hannWindow(n)
+			var xs [][]complex128
+			for rep := 0; rep < 2; rep++ {
+				x := make([]complex128, n)
+				for i := range x {
+					x[i] = complex(w[i]*r.Norm(), 0)
+				}
+				xs = append(xs, x)
+			}
+			return xs
+		}},
+	}
+	for _, kind := range kinds {
+		for n := 1; n <= 8192; n <<= 1 {
+			for rep, got := range kind.gen(n) {
+				want := append([]complex128(nil), got...)
+				if err := fft(got); err != nil {
+					t.Fatal(err)
+				}
+				fftRef(want)
+				for i := range want {
+					if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+						math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+						t.Fatalf("%s n=%d input %d bin %d: fft %v, reference %v", kind.name, n, rep, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
 }
 
 // RFFT is the allocating form of RFFTInto.

@@ -94,10 +94,11 @@ func NewPlan(cfg STFTConfig, nMels, sampleRate int) (*Plan, error) {
 		bins:       cfg.FFTSize/2 + 1,
 		window:     hannWindow(cfg.FFTSize),
 	}
-	// Warm the shared twiddle tables once at plan build so the hot path
+	// Warm the shared twiddle and bit-reversal tables once at plan build so the hot path
 	// never takes the cache-miss branch.
 	if cfg.FFTSize >= 2 {
 		twiddles(cfg.FFTSize / 2)
+		bitReversalSwaps(cfg.FFTSize / 2)
 		rfftTwiddles(cfg.FFTSize)
 	}
 	if nMels > 0 {

@@ -41,18 +41,18 @@ func TestWindowActiveHalfOpen(t *testing.T) {
 
 func TestParsePlanRejects(t *testing.T) {
 	bad := map[string]string{
-		"unknown field":    `{"seed": 1, "surprise": true}`,
-		"trailing data":    `{"seed": 1} {"seed": 2}`,
-		"negative start":   `{"link": {"outages": [{"start_s": -5, "duration_s": 10}]}}`,
-		"negative length":  `{"link": {"outages": [{"start_s": 5, "duration_s": -10}]}}`,
-		"huge duration":    `{"link": {"outages": [{"start_s": 0, "duration_s": 1e300}]}}`,
-		"probability > 1":  `{"link": {"drop_prob": 1.5}}`,
-		"negative prob":    `{"sensors": {"drop_prob": -0.25}}`,
-		"burst prob":       `{"link": {"bursts": [{"start_s": 0, "duration_s": 1, "drop_prob": 2}]}}`,
-		"negative reboot":  `{"node": {"reboot_s": -1}}`,
-		"bad retry":        `{"retry": {"max_attempts": 0, "base_s": 1, "max_s": 2, "multiplier": 2}}`,
-		"retry overflow":   `{"retry": {"max_attempts": 4, "base_s": 1e300, "max_s": 2, "multiplier": 2}}`,
-		"not a plan":       `[1, 2, 3]`,
+		"unknown field":   `{"seed": 1, "surprise": true}`,
+		"trailing data":   `{"seed": 1} {"seed": 2}`,
+		"negative start":  `{"link": {"outages": [{"start_s": -5, "duration_s": 10}]}}`,
+		"negative length": `{"link": {"outages": [{"start_s": 5, "duration_s": -10}]}}`,
+		"huge duration":   `{"link": {"outages": [{"start_s": 0, "duration_s": 1e300}]}}`,
+		"probability > 1": `{"link": {"drop_prob": 1.5}}`,
+		"negative prob":   `{"sensors": {"drop_prob": -0.25}}`,
+		"burst prob":      `{"link": {"bursts": [{"start_s": 0, "duration_s": 1, "drop_prob": 2}]}}`,
+		"negative reboot": `{"node": {"reboot_s": -1}}`,
+		"bad retry":       `{"retry": {"max_attempts": 0, "base_s": 1, "max_s": 2, "multiplier": 2}}`,
+		"retry overflow":  `{"retry": {"max_attempts": 4, "base_s": 1e300, "max_s": 2, "multiplier": 2}}`,
+		"not a plan":      `[1, 2, 3]`,
 	}
 	for name, src := range bad {
 		if _, err := ParsePlan([]byte(src)); err == nil {

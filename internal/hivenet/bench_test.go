@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"beesim/internal/audio"
+	"beesim/internal/hive"
 	"beesim/internal/obs"
 	"beesim/internal/parallel"
 	"beesim/internal/proto"
@@ -40,6 +41,22 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 // streaming one session of b.N identical uploads through the handler
 // over an in-memory conn.
 func BenchmarkServerHandleUpload(b *testing.B) {
+	benchUpload(b, make([]float64, audio.SampleRate/4))
+}
+
+// BenchmarkServerHandleUpload10s runs the same path on one paper-sized
+// upload: a synthesized, non-silent 10 s clip, which the mel front end
+// and the SVM dominate.
+func BenchmarkServerHandleUpload10s(b *testing.B) {
+	synth, err := audio.NewSynth(audio.Config{SampleRate: audio.SampleRate, Seconds: 10, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchUpload(b, synth.Clip(hive.QueenPresent, 0.7))
+}
+
+// benchUpload streams b.N uploads of clip through one session.
+func benchUpload(b *testing.B, clip []float64) {
 	// One worker: the allocs/op baseline counts the serial feature path.
 	parallel.SetDefault(1)
 	defer parallel.SetDefault(0)
@@ -56,7 +73,6 @@ func BenchmarkServerHandleUpload(b *testing.B) {
 
 	hello := encodeFrame(b, proto.TypeHello,
 		proto.Hello{HiveID: "bench", WakePeriodSeconds: 300, Version: 1}, nil)
-	clip := make([]float64, audio.SampleRate/4)
 	upload := encodeFrame(b, proto.TypeAudioUpload, proto.AudioUpload{
 		HiveID: "bench", Time: time.Date(2023, 4, 15, 12, 0, 0, 0, time.UTC),
 		SampleRate: audio.SampleRate, Samples: len(clip),

@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"beesim/internal/audio"
 	"beesim/internal/core"
 	"beesim/internal/hive"
+	"beesim/internal/proto"
 	"beesim/internal/queendetect"
 	"beesim/internal/routine"
 	"beesim/internal/store"
@@ -144,6 +146,60 @@ func TestEndToEndEdgeCloudCycle(t *testing.T) {
 	wantBurst := 2 * 364.84
 	if math.Abs(float64(st.BurstEnergy)-wantBurst) > 2 {
 		t.Fatalf("burst energy = %v, want ~%v J", st.BurstEnergy, wantBurst)
+	}
+}
+
+// TestInferOnePass pins the server's one-pass inference to the
+// two-pass computation it replaced: on queen-present and queenless
+// clips, the verdict equals detector.Predict and the confidence equals,
+// bit for bit, the squashed margin of a second feature pass.
+func TestInferOnePass(t *testing.T) {
+	cfg := DefaultServerConfig()
+	s, err := newTestServer(t, "127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	synth, err := audio.NewSynth(audio.Config{SampleRate: audio.SampleRate, Seconds: cfg.ClipSeconds, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[bool]bool{}
+	for i := 0; i < 8; i++ {
+		state := hive.QueenPresent
+		if i%2 == 1 {
+			state = hive.QueenLost
+		}
+		// Round-trip through 16-bit PCM, as an upload does.
+		clip, err := proto.PCMDecode(proto.PCMEncode(synth.Clip(state, 0.3+0.1*float64(i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		queen, confidence, err := s.infer(clip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantQueen, err := s.detector.Predict(clip, audio.SampleRate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := queendetect.VectorFeatures(clip, audio.SampleRate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		margin := s.detector.Model.Decision(s.detector.Scaler.Transform(v))
+		if margin < 0 {
+			margin = -margin
+		}
+		wantConf := margin / (1 + margin)
+		if queen != wantQueen || math.Float64bits(confidence) != math.Float64bits(wantConf) {
+			t.Fatalf("clip %d (%v): infer (%v, %v), two-pass (%v, %v)",
+				i, state, queen, confidence, wantQueen, wantConf)
+		}
+		seen[queen] = true
+	}
+	if !seen[true] || !seen[false] {
+		t.Fatalf("clips exercised only one verdict: %v", seen)
 	}
 }
 

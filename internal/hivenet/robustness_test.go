@@ -1,10 +1,13 @@
 package hivenet
 
 import (
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
+	"beesim/internal/audio"
 	"beesim/internal/hive"
 	"beesim/internal/proto"
 )
@@ -89,6 +92,59 @@ func TestServerRejectsSampleCountMismatch(t *testing.T) {
 	}
 	if f.Type != proto.TypeError {
 		t.Fatalf("reply = %v, want error", f.Type)
+	}
+}
+
+// TestServerRejectsForeignSampleRate sends valid PCM declared at rates
+// the detector was not trained at. Each gets an error frame naming both
+// rates before the payload is decoded, so no front-end plan is built
+// for the foreign rate, and the server goes on serving.
+func TestServerRejectsForeignSampleRate(t *testing.T) {
+	s := startServer(t, DefaultServerConfig())
+	raw := proto.PCMEncode(make([]float64, 4096))
+	for _, rate := range []int{44100, audio.SampleRate + 1, 0, -22050} {
+		conn := rawDial(t, s.Addr())
+		if err := proto.Encode(conn, proto.TypeHello, proto.Hello{
+			HiveID: "alien", WakePeriodSeconds: 300, Version: 1}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := proto.Decode(conn); err != nil { // welcome
+			t.Fatal(err)
+		}
+		if err := proto.Encode(conn, proto.TypeAudioUpload, proto.AudioUpload{
+			HiveID: "alien", Time: time.Now(), SampleRate: rate, Samples: 4096,
+		}, raw); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		f, err := proto.Decode(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type != proto.TypeError {
+			t.Fatalf("rate %d: reply = %v, want error", rate, f.Type)
+		}
+		var body proto.ErrorBody
+		if err := f.Unmarshal(proto.TypeError, &body); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{fmt.Sprintf("%d Hz", rate), fmt.Sprintf("%d Hz", audio.SampleRate)} {
+			if !strings.Contains(body.Message, want) {
+				t.Fatalf("rate %d: error %q does not name %q", rate, body.Message, want)
+			}
+		}
+	}
+	if got := s.Stats().Uploads; got != 0 {
+		t.Fatalf("%d foreign-rate uploads handled", got)
+	}
+	// A well-behaved agent is still served.
+	agent, err := Dial(s.Addr(), DefaultAgentConfig("native"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+	if _, err := agent.RunCycle(hive.QueenPresent, 0.6, time.Now().UTC()); err != nil {
+		t.Fatal(err)
 	}
 }
 

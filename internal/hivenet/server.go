@@ -574,6 +574,11 @@ func (s *Server) handleUpload(conn net.Conn, f proto.Frame, up proto.AudioUpload
 	if stall := s.cfg.Admission.UploadStall; stall > 0 {
 		time.Sleep(stall) //beelint:allow walltime stress/test knob standing in for heavier inference on the live server
 	}
+	if up.SampleRate != audio.SampleRate {
+		err := fmt.Errorf("hivenet: clip sampled at %d Hz, detector trained at %d Hz", up.SampleRate, audio.SampleRate)
+		_ = proto.Encode(conn, proto.TypeError, proto.ErrorBody{Message: err.Error()}, nil)
+		return err
+	}
 	samples, err := proto.PCMDecode(f.Raw)
 	if err != nil {
 		_ = proto.Encode(conn, proto.TypeError, proto.ErrorBody{Message: err.Error()}, nil)
@@ -584,7 +589,7 @@ func (s *Server) handleUpload(conn net.Conn, f proto.Frame, up proto.AudioUpload
 		_ = proto.Encode(conn, proto.TypeError, proto.ErrorBody{Message: err.Error()}, nil)
 		return err
 	}
-	queen, confidence, err := s.infer(samples, up.SampleRate)
+	queen, confidence, err := s.infer(samples)
 	if err != nil {
 		_ = proto.Encode(conn, proto.TypeError, proto.ErrorBody{Message: err.Error()}, nil)
 		return err
@@ -656,26 +661,19 @@ func (s *Server) assignSlot() (int, error) {
 	return free, nil
 }
 
-// infer runs the queen detector on an uploaded clip.
-func (s *Server) infer(samples []float64, sampleRate int) (bool, float64, error) {
-	if sampleRate <= 0 {
-		return false, 0, errors.New("hivenet: bad sample rate")
-	}
-	queen, err := s.detector.Predict(samples, sampleRate)
+// infer runs the queen detector on an uploaded clip at audio.SampleRate:
+// one feature pass yields the decision value, whose sign is the verdict
+// and whose margin, squashed into [0,1), is the confidence.
+func (s *Server) infer(samples []float64) (bool, float64, error) {
+	d, err := s.detector.Decision(samples, audio.SampleRate)
 	if err != nil {
 		return false, 0, err
 	}
-	// Confidence from the decision margin through a squashing map.
-	v, err := queendetect.VectorFeatures(samples, sampleRate)
-	if err != nil {
-		return false, 0, err
-	}
-	margin := s.detector.Model.Decision(s.detector.Scaler.Transform(v))
+	margin := d
 	if margin < 0 {
 		margin = -margin
 	}
-	confidence := margin / (1 + margin)
-	return queen, confidence, nil
+	return d >= 0, margin / (1 + margin), nil
 }
 
 // accountUpload charges the energy books for one receive+execute burst

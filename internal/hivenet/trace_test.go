@@ -231,9 +231,9 @@ func TestAPIEndpointHeaders(t *testing.T) {
 		{path: "/api/stats", wantOK: true, contentType: "application/json"},
 		{path: "/api/hives", wantOK: true, contentType: "application/json"},
 		{path: "/api/records?hive=dash-1", wantOK: true, contentType: "application/json"},
-		{path: "/api/metrics", wantOK: false},                // metrics disabled on this server
-		{path: "/api/ledger", wantOK: false},                 // ledger disabled
-		{path: "/api/slo", wantOK: false},                    // slo not armed
+		{path: "/api/metrics", wantOK: false},                          // metrics disabled on this server
+		{path: "/api/ledger", wantOK: false},                           // ledger disabled
+		{path: "/api/slo", wantOK: false},                              // slo not armed
 		{path: "/api/trace/" + strings.Repeat("a", 32), wantOK: false}, // tracing disabled
 		{path: "/api/slowest", wantOK: true, contentType: "application/json"},
 	}

@@ -114,8 +114,8 @@ func (q attemptQueue) Less(i, j int) bool {
 	}
 	return a.attempt < b.attempt
 }
-func (q attemptQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *attemptQueue) Push(x any) { *q = append(*q, x.(attemptItem)) }
+func (q attemptQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *attemptQueue) Push(x any)   { *q = append(*q, x.(attemptItem)) }
 func (q *attemptQueue) Pop() any {
 	old := *q
 	n := len(old)

@@ -126,9 +126,13 @@ type SensorReport struct {
 
 // AudioUpload describes the raw PCM payload accompanying the frame.
 type AudioUpload struct {
-	HiveID     string    `json:"hive_id"`
-	Time       time.Time `json:"time"`
-	SampleRate int       `json:"sample_rate"`
+	HiveID string    `json:"hive_id"`
+	Time   time.Time `json:"time"`
+	// SampleRate is the clip's rate in Hz. The cloud server's detector
+	// is trained at audio.SampleRate and rejects any other rate before
+	// decoding the payload: features at a foreign rate mean nothing to
+	// it, and each new rate would cost a new front-end plan.
+	SampleRate int `json:"sample_rate"`
 	// Samples is the PCM sample count in the raw payload.
 	Samples int `json:"samples"`
 	// Traceparent propagates the upload span's W3C trace context so the

@@ -166,13 +166,25 @@ func TrainSVM(corpus []audio.LabeledClip, sampleRate int, seed uint64) (*SVMResu
 	return res, nil
 }
 
-// Predict classifies one clip with the trained SVM service.
-func (r *SVMResult) Predict(clip []float64, sampleRate int) (bool, error) {
+// Decision returns the SVM's decision value for one clip: the clip's
+// features go through the scaler and the model once. Its sign is the
+// verdict (>= 0 means queen present) and its magnitude the margin.
+func (r *SVMResult) Decision(clip []float64, sampleRate int) (float64, error) {
 	v, err := VectorFeatures(clip, sampleRate)
+	if err != nil {
+		return 0, err
+	}
+	return r.Model.Decision(r.Scaler.Transform(v)), nil
+}
+
+// Predict classifies one clip with the trained SVM service: queen
+// present when Decision is >= 0, svm.Model.Predict's rule.
+func (r *SVMResult) Predict(clip []float64, sampleRate int) (bool, error) {
+	d, err := r.Decision(clip, sampleRate)
 	if err != nil {
 		return false, err
 	}
-	return r.Model.Predict(r.Scaler.Transform(v)) == LabelQueen, nil
+	return d >= 0, nil
 }
 
 // CNNResult is a trained-and-evaluated CNN service at one input size.

@@ -124,6 +124,51 @@ func TestSVMEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDecisionMatchesPredict pins the one-pass contract over a
+// synthesized corpus of both classes and several strengths: Predict is
+// exactly Decision >= 0, and both agree with the model's own Predict on
+// the scaled feature vector, the rule the one-pass path replaced.
+func TestDecisionMatchesPredict(t *testing.T) {
+	res, err := TrainSVM(testCorpus(t, 24), audio.SampleRate, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	synth, err := audio.NewSynth(audio.Config{SampleRate: audio.SampleRate, Seconds: 1, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clips [][]float64
+	for _, strength := range []float64{0.1, 0.4, 0.7, 1} {
+		clips = append(clips, synth.Clip(hive.QueenPresent, strength), synth.Clip(hive.QueenLost, strength))
+	}
+	seen := map[bool]bool{}
+	for i, clip := range clips {
+		d, err := res.Decision(clip, audio.SampleRate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queen, err := res.Predict(clip, audio.SampleRate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := VectorFeatures(clip, audio.SampleRate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := res.Model.Predict(res.Scaler.Transform(v)) == LabelQueen
+		if (d >= 0) != queen || queen != model {
+			t.Fatalf("clip %d: decision %v, Predict %v, model.Predict %v", i, d, queen, model)
+		}
+		seen[queen] = true
+	}
+	if !seen[true] || !seen[false] {
+		t.Fatalf("corpus exercised only one verdict: %v", seen)
+	}
+	if _, err := res.Decision(make([]float64, 10), audio.SampleRate); err == nil {
+		t.Error("clip shorter than one window accepted")
+	}
+}
+
 // cnnPredict classifies one clip with a trained CNN detector.
 func cnnPredict(res *CNNResult, clip []float64) (bool, error) {
 	img, err := ImageFeatures(clip, audio.SampleRate, res.Size)
